@@ -15,14 +15,19 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/seplint .
 
-# Short fuzzing pass over the assembler and the static-analyzer CFG
-# builder; the committed corpus seeds both.
+# Short fuzzing pass over every fuzz target: assembler, CFG builder and
+# value-set resolution, delta snapshots and translation invalidation, the
+# trace decoder, the shared artifact line reader (witness manifests and
+# build ledgers), witness manifests and checkpoint resume. CI runs this
+# target; the committed corpora seed each fuzzer.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzBuildCFG -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzVSAResolve -fuzztime 10s
+	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzDeltaRestore -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzTranslationInvalidation -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
+	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzReadLines -fuzztime 10s
 	$(GO) test ./internal/witness -run '^$$' -fuzz FuzzWitnessRead -fuzztime 10s
 	$(GO) test ./internal/separability -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 10s
 
@@ -150,7 +155,7 @@ watch-smoke:
 
 # Race-detector pass over the concurrent verification engine, the kernel
 # adapter it replicates, the witness store fed from worker results, and the
-# observability counters they share.
+# observability counters they share. CI runs this target.
 race:
 	$(GO) test -race ./internal/separability/... ./internal/kernel/... ./internal/witness/... ./internal/obs/... ./internal/watch/...
 

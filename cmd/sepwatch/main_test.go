@@ -190,7 +190,9 @@ func TestServeCyclesAndEndpoints(t *testing.T) {
 			err = json.NewDecoder(resp.Body).Decode(&status)
 			resp.Body.Close()
 		}
-		if err == nil && len(status.Deployments) == 2 && status.Deployments[0].Builds > 0 {
+		// Cycles check deployments in order, so the last one having a
+		// build means every one has.
+		if err == nil && len(status.Deployments) == 2 && status.Deployments[1].Builds > 0 {
 			break
 		}
 		if time.Now().After(deadline) {

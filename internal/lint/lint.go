@@ -1,6 +1,6 @@
 // Package lint enforces the repository's security-architecture invariants
 // over the Go sources themselves — the repo-level analogue of what package
-// staticflow does to machine programs. Six rules, all purely syntactic
+// staticflow does to machine programs. Seven rules, all purely syntactic
 // (go/ast, no external dependencies):
 //
 //   - obs-zero-dep: internal/obs is the observability layer every subsystem
@@ -46,6 +46,13 @@
 //     footprint.go — a slot or service added to the layout without a
 //     footprint entry would silently widen the gap between the modelled and
 //     the actual kernel.
+//
+//   - artifact-io: witness, shard and ledger evidence is sealed, hashed and
+//     written by internal/artifact alone, so the ID rule and the
+//     one-rename write rule have one implementation. os.CreateTemp and
+//     os.Rename may appear only there, and crypto/sha256 may be imported
+//     only there and by the two packages that hash for other reasons:
+//     internal/machine (Snapshot.Hash) and internal/auth.
 package lint
 
 import (
@@ -118,6 +125,13 @@ var tcIdents = map[string]bool{
 	"stepTranslated": true, "runFast": true, "flushTC": true, "invalidateTC": true,
 }
 
+// sha256Allowed lists the package directories that may import crypto/sha256.
+var sha256Allowed = map[string]bool{
+	"internal/artifact": true,
+	"internal/machine":  true,
+	"internal/auth":     true,
+}
+
 // Run lints every .go file under root (skipping testdata and hidden
 // directories) and returns the diagnostics in file order.
 func Run(root string) ([]Diagnostic, error) {
@@ -182,6 +196,9 @@ func lintFile(fset *token.FileSet, path, dir string, sync *trapSync) ([]Diagnost
 	}
 	if !isTest {
 		l.checkTCPurity(f)
+	}
+	if !isTest {
+		l.checkArtifactIO(f, dir)
 	}
 	if sync != nil && dir == "internal/kernel" {
 		switch filepath.Base(path) {
@@ -290,6 +307,30 @@ func (l *linter) checkTCPurity(f *ast.File) {
 			return true
 		})
 	}
+}
+
+// checkArtifactIO enforces artifact-io.
+func (l *linter) checkArtifactIO(f *ast.File, dir string) {
+	for _, imp := range f.Imports {
+		if strings.Trim(imp.Path.Value, `"`) == "crypto/sha256" && !sha256Allowed[dir] {
+			l.report(imp.Pos(), "artifact-io",
+				"crypto/sha256 imported outside internal/artifact; content IDs and blob addresses come from artifact.Seal and artifact.Hash")
+		}
+	}
+	if dir == "internal/artifact" {
+		return
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || (sel.Sel.Name != "CreateTemp" && sel.Sel.Name != "Rename") {
+			return true
+		}
+		if id, ok := sel.X.(*ast.Ident); ok && id.Name == "os" {
+			l.report(sel.Pos(), "artifact-io",
+				"os.%s outside internal/artifact; write artifacts with artifact.WriteFile (one temp file, one rename)", sel.Sel.Name)
+		}
+		return true
+	})
 }
 
 // checkHookPurity enforces obs-hook-pure over every method in the file.

@@ -234,6 +234,36 @@ func (a *A) TranslationEnabled() bool { return a.enabled }
 	}
 }
 
+// Atomic-write primitives and SHA-256 stay inside internal/artifact (plus
+// the two allowlisted hashing packages); tests may use them anywhere.
+func TestArtifactIO(t *testing.T) {
+	root := t.TempDir()
+	const offender = `package x
+import (
+	"crypto/sha256"
+	"os"
+)
+var _ = sha256.Sum256
+func f(p string) error { return os.Rename(p+".tmp", p) }
+`
+	write(t, root, "internal/witness/x.go", strings.Replace(offender, "package x", "package witness", 1))
+	write(t, root, "internal/artifact/x.go", strings.Replace(offender, "package x", "package artifact", 1))
+	write(t, root, "internal/machine/x.go", `package machine
+import "crypto/sha256"
+var _ = sha256.Sum256
+`)
+	write(t, root, "internal/witness/x_test.go", strings.Replace(offender, "func f", "func g", 1))
+	diags := runLint(t, root)
+	if got := strings.Join(rules(diags), ","); got != "artifact-io,artifact-io" {
+		t.Fatalf("diags = %v, want the sha256 import and the os.Rename in internal/witness", diags)
+	}
+	for _, d := range diags {
+		if !strings.Contains(d.Pos.Filename, filepath.FromSlash("internal/witness/x.go")) {
+			t.Errorf("flagged wrong file: %s", d.Pos)
+		}
+	}
+}
+
 // TestRepositoryClean is the invariant itself: the real tree has zero
 // violations. If this fails, the code — not the linter — regressed.
 // A save slot or service code declared in the layout but absent from the

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/artifact"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -268,10 +269,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	if workers < 1 {
 		workers = 1
 	}
-	replicas := []model.Enumerable{sys}
-	if workers > 1 {
-		replicas = replicate(sys, workers)
-	}
+	replicas := replicate(sys, workers)
 
 	// Pass 0: anchor Φ digests of EVERY state for every colour, plus the
 	// lead-table election. This pass is shard-independent — every shard
@@ -279,7 +277,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	// contiguous chunk range an exact slice of the unsharded sweep.
 	phi0 := make([]uint64, len(states)*nc)
 	cols := make([]model.Colour, len(states))
-	runChunks(replicas, nChunks, func(rep model.Enumerable, cj int) {
+	runChunks(replicas, nChunks, func(_ int, rep model.Enumerable, cj int) {
 		lo, hi := chunkBounds(cj, chunkSize, len(states))
 		for si := lo; si < hi; si++ {
 			rep.Restore(states[si])
@@ -330,7 +328,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	sort.Ints(neededSis)
 	leadBySi := make(map[int]*stateInfo, len(neededSis))
 	leadInfos := make([]*stateInfo, len(neededSis))
-	runChunks(replicas, (len(neededSis)+chunkSize-1)/chunkSize, func(rep model.Enumerable, cj int) {
+	runChunks(replicas, (len(neededSis)+chunkSize-1)/chunkSize, func(_ int, rep model.Enumerable, cj int) {
 		lo, hi := chunkBounds(cj, chunkSize, len(neededSis))
 		for k := lo; k < hi; k++ {
 			si := neededSis[k]
@@ -363,7 +361,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	}
 	var claim atomic.Int64
 	claim.Store(int64(frontier))
-	work := func(rep model.Enumerable) {
+	forEachReplica(replicas, func(_ int, rep model.Enumerable) {
 		var info stateInfo
 		groups := make(map[uint64]int, len(inputs))
 		opClass := map[model.OpID]string{}
@@ -400,20 +398,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 			}
 			folder.deliver(cj, perColour)
 		}
-	}
-	if len(replicas) == 1 {
-		work(replicas[0])
-	} else {
-		var wg sync.WaitGroup
-		for _, rep := range replicas {
-			wg.Add(1)
-			go func(rep model.Enumerable) {
-				defer wg.Done()
-				work(rep)
-			}(rep)
-		}
-		wg.Wait()
-	}
+	})
 	if folder.err != nil {
 		return nil, folder.err
 	}
@@ -422,15 +407,15 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	}
 
 	sr := &ShardResult{
-		Version: ShardSchemaVersion, Kind: KindShardResult, ShardParams: params,
-		StartChunk: startChunk, EndChunk: endChunk, PerColour: resultRecords(acc),
+		shardHeader: newShardHeader(KindShardResult, params, startChunk, endChunk),
+		PerColour:   resultRecords(acc),
 	}
-	if err := sr.seal(); err != nil {
+	if err := artifact.Seal(sr, &sr.ID); err != nil {
 		return nil, err
 	}
 	if opt.Checkpoint != "" {
-		if err := writeShardCheckpoint(opt.Checkpoint,
-			newShardCheckpoint(params, startChunk, endChunk, endChunk, true, acc)); err != nil {
+		ck := newShardCheckpoint(params, startChunk, endChunk, endChunk, true, acc)
+		if err := ck.write(opt.Checkpoint, ck); err != nil {
 			return nil, err
 		}
 	}
@@ -614,7 +599,8 @@ func (f *chunkFolder) deliver(cj int, perColour []*Result) {
 	}
 	aborting := f.abortAfter > 0 && f.foldedRun >= f.abortAfter && f.frontier < f.endChunk
 	if f.ckPath != "" && f.sinceCk > 0 && (f.sinceCk >= f.ckEvery || aborting) {
-		if err := writeShardCheckpoint(f.ckPath, f.mkCk(f.frontier, f.acc, false)); err != nil {
+		ck := f.mkCk(f.frontier, f.acc, false)
+		if err := ck.write(f.ckPath, ck); err != nil {
 			if f.err == nil {
 				f.err = err
 			}
@@ -628,31 +614,34 @@ func (f *chunkFolder) deliver(cj int, perColour []*Result) {
 	}
 }
 
-// runChunks claims chunk indices [0, n) across one goroutine per replica
-// (inline when there is only one).
-func runChunks(replicas []model.Enumerable, n int, fn func(rep model.Enumerable, cj int)) {
+// forEachReplica runs fn once per replica, w being the replica's pool
+// slot: on one goroutine each, or inline when there is only one, and
+// returns when every call has.
+func forEachReplica[S any](replicas []S, fn func(w int, rep S)) {
 	if len(replicas) == 1 {
-		for cj := 0; cj < n; cj++ {
-			fn(replicas[0], cj)
-		}
+		fn(0, replicas[0])
 		return
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for _, rep := range replicas {
+	for w, rep := range replicas {
 		wg.Add(1)
-		go func(rep model.Enumerable) {
+		go func(w int, rep S) {
 			defer wg.Done()
-			for {
-				cj := int(next.Add(1)) - 1
-				if cj >= n {
-					return
-				}
-				fn(rep, cj)
-			}
-		}(rep)
+			fn(w, rep)
+		}(w, rep)
 	}
 	wg.Wait()
+}
+
+// runChunks claims indices [0, n) across the replicas, calling fn for each
+// on whichever replica claimed it.
+func runChunks[S any](replicas []S, n int, fn func(w int, rep S, i int)) {
+	var next atomic.Int64
+	forEachReplica(replicas, func(w int, rep S) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(w, rep, i)
+		}
+	})
 }
 
 // chunkBounds returns chunk cj's state range clipped to n states.
@@ -672,18 +661,18 @@ func statesInChunks(lo, hi, chunkSize, states int) int {
 	return b - a
 }
 
-// replicate clones sys up to n times; the original is element 0. A system
-// that is not Replicable (or whose Clone fails) yields just the original,
-// collapsing the check to single-threaded.
-func replicate(sys model.Enumerable, n int) []model.Enumerable {
-	out := []model.Enumerable{sys}
-	rep, ok := sys.(model.Replicable)
+// replicate returns sys followed by up to n-1 clones of it, one system per
+// worker. A system that is not Replicable (or whose Clone fails) yields
+// just the original, collapsing the check to single-threaded.
+func replicate[S model.SharedSystem](sys S, n int) []S {
+	out := []S{sys}
+	rep, ok := any(sys).(model.Replicable)
 	if !ok {
 		return out
 	}
 	for len(out) < n {
-		clone, ok := rep.Clone().(model.Enumerable)
-		if !ok || clone == nil {
+		clone, ok := rep.Clone().(S)
+		if !ok {
 			return out[:1]
 		}
 		out = append(out, clone)

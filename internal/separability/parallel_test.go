@@ -58,18 +58,6 @@ func TestCheckRandomizedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// The factory-based entry point must agree with the Replicable-based one.
-func TestCheckRandomizedParallelFactory(t *testing.T) {
-	opt := separability.Options{Trials: 8, StepsPerTrial: 30, Seed: 5}
-	opt.Workers = 1
-	serial := separability.CheckRandomized(separability.NewToySystem(separability.ToyOutputLeak), opt)
-	opt.Workers = 4
-	par := separability.CheckRandomizedParallel(func() model.Perturbable {
-		return separability.NewToySystem(separability.ToyOutputLeak)
-	}, opt)
-	requireIdentical(t, serial, par, "factory")
-}
-
 // CheckExhaustive must be a pure function of the system, independent of
 // how many workers shard the state sweep and the per-colour passes.
 func TestCheckExhaustiveWorkerDeterminism(t *testing.T) {

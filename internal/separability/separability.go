@@ -35,8 +35,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/model"
@@ -222,13 +220,12 @@ type Options struct {
 	CheckScheduling bool
 	// Colours restricts checking to these colours (nil = all).
 	Colours []model.Colour
-	// Workers shards the trials across this many checker goroutines, each
-	// owning a private replica of the system (1 = single-threaded;
+	// Workers shards the trials across this many checker goroutines: the
+	// caller's system plus Workers-1 private replicas (1 = single-threaded;
 	// 0 = one worker per CPU core, runtime.GOMAXPROCS(0)).
 	// Using more than one worker requires the system to implement
-	// model.Replicable (or use CheckRandomizedParallel with a factory);
-	// non-replicable systems are checked single-threaded regardless.
-	// Results are identical for every worker count.
+	// model.Replicable; non-replicable systems are checked single-threaded
+	// regardless. Results are identical for every worker count.
 	Workers int
 	// Metrics, when non-nil, receives live progress and throughput
 	// counters while the check runs (goroutine-safe; see package obs):
@@ -288,19 +285,11 @@ func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 	if colours == nil {
 		colours = sys.Colours()
 	}
-	if opt.Workers > 1 {
-		if rep, ok := sys.(model.Replicable); ok {
-			factory := func() model.Perturbable {
-				clone, _ := rep.Clone().(model.Perturbable)
-				return clone
-			}
-			if probe := factory(); probe != nil {
-				return runTrialsParallel(sys, factory, opt, colours)
-			}
-		}
-		// Not replicable: fall through to the single-threaded engine,
-		// which produces the same Result a worker pool would.
+	if replicas := replicate(sys, min(opt.Workers, opt.Trials)); len(replicas) > 1 {
+		return runTrialsParallel(replicas, opt, colours)
 	}
+	// One worker, or a system that cannot be replicated: the
+	// single-threaded engine produces the same Result a pool would.
 	res := &Result{Checks: map[Condition]int{}}
 	for trial := 0; trial < opt.Trials; trial++ {
 		// Deterministic stopping rule (shared with the parallel merge):
@@ -313,87 +302,28 @@ func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 	return res
 }
 
-// CheckRandomizedParallel runs CheckRandomized with each worker goroutine
-// owning a system replica manufactured by factory, for systems that cannot
-// implement model.Replicable but can be rebuilt from configuration. The
-// factory must return independent instances; a nil return disables that
-// worker (its trials are picked up by the others, or run on the first
-// instance). Results are identical to a single-threaded CheckRandomized of
-// a factory-built system with the same Options.
-func CheckRandomizedParallel(factory func() model.Perturbable, opt Options) *Result {
-	opt.fill()
-	base := factory()
-	if base == nil {
-		return &Result{Checks: map[Condition]int{}}
-	}
-	colours := opt.Colours
-	if colours == nil {
-		colours = base.Colours()
-	}
-	if opt.Workers <= 1 {
-		o := opt
-		o.Workers = 1
-		return CheckRandomized(base, o)
-	}
-	return runTrialsParallel(base, factory, opt, colours)
-}
-
-// runTrialsParallel shards trial indices across a worker pool. base is an
-// instance reserved for the calling goroutine (used to backfill any trial
-// a worker could not run); factory supplies each worker's private replica.
-func runTrialsParallel(base model.Perturbable, factory func() model.Perturbable,
-	opt Options, colours []model.Colour) *Result {
-
-	workers := opt.Workers
-	if workers > opt.Trials {
-		workers = opt.Trials
-	}
+// runTrialsParallel shards trial indices across one goroutine per replica,
+// then merges the per-trial results in trial order.
+func runTrialsParallel(replicas []model.Perturbable, opt Options, colours []model.Colour) *Result {
 	results := make([]*Result, opt.Trials)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sys := factory()
-			if sys == nil {
-				return
-			}
-			// Per-worker throughput counters (created on demand; the
-			// worker label is the pool slot, not a goroutine id).
-			var wTrials, wStates, wBusy *obs.Counter
-			if opt.Metrics != nil {
-				wTrials = opt.Metrics.Counter(fmt.Sprintf("sep_worker_trials_total{worker=%q}", fmt.Sprint(w)))
-				wStates = opt.Metrics.Counter(fmt.Sprintf("sep_worker_states_total{worker=%q}", fmt.Sprint(w)))
-				wBusy = opt.Metrics.Counter(fmt.Sprintf("sep_worker_busy_us_total{worker=%q}", fmt.Sprint(w)))
-			}
-			for {
-				trial := int(next.Add(1)) - 1
-				if trial >= opt.Trials {
-					return
-				}
-				start := time.Now()
-				results[trial] = runTrial(sys, trial, opt, colours)
-				if opt.Metrics != nil {
-					wTrials.Inc()
-					wStates.Add(uint64(results[trial].States))
-					wBusy.Add(uint64(time.Since(start).Microseconds()))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Backfill trials no worker reached (factory failures) on base, then
-	// merge in trial order under the deterministic stopping rule.
+	runChunks(replicas, opt.Trials, func(w int, sys model.Perturbable, trial int) {
+		start := time.Now()
+		results[trial] = runTrial(sys, trial, opt, colours)
+		if opt.Metrics != nil {
+			// Per-worker throughput; the label is the pool slot.
+			label := fmt.Sprintf("{worker=%q}", fmt.Sprint(w))
+			opt.Metrics.Counter("sep_worker_trials_total" + label).Inc()
+			opt.Metrics.Counter("sep_worker_states_total" + label).Add(uint64(results[trial].States))
+			opt.Metrics.Counter("sep_worker_busy_us_total" + label).Add(uint64(time.Since(start).Microseconds()))
+		}
+	})
+	// Merge under the deterministic stopping rule the serial engine uses.
 	res := &Result{Checks: map[Condition]int{}}
-	for trial := 0; trial < opt.Trials; trial++ {
+	for _, r := range results {
 		if len(res.Violations) >= opt.MaxViolations {
 			break
 		}
-		if results[trial] == nil {
-			results[trial] = runTrial(base, trial, opt, colours)
-		}
-		res.Merge(results[trial])
+		res.Merge(r)
 	}
 	return res
 }

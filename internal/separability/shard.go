@@ -1,27 +1,21 @@
 package separability
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 
+	"repro/internal/artifact"
 	"repro/internal/model"
 )
 
-// Shard artifacts follow the conventions of internal/witness: canonical
-// JSON (encoding/json with struct field order and sorted map keys) carrying
-// a content-address ID — the first 16 hex digits of the SHA-256 of the
-// record with its ID blanked. Readers are total: arbitrary bytes yield an
-// error, never a panic, and any edit to a sealed file (truncation,
-// tampering, a result file passed off as a checkpoint) breaks the ID and is
-// rejected. Writes go through a temp file plus rename, so a worker killed
-// mid-write leaves either the previous complete artifact or the new one,
-// never a torn file.
+// Shard artifacts are sealed records under the rules of package artifact:
+// canonical JSON carrying a content ID, written through one atomic rename.
+// Readers are total: arbitrary bytes yield an error, never a panic, and any
+// edit to a sealed file (truncation, tampering, a result file passed off as
+// a checkpoint) breaks the ID or the kind and is rejected.
 
 const (
 	// ShardSchemaVersion versions the shard-result/checkpoint schema.
@@ -128,94 +122,89 @@ type ResultRecord struct {
 	States     int               `json:"states,omitempty"`
 }
 
-// ShardResult is the sealed artifact of one completed shard sweep.
-type ShardResult struct {
+// shardHeader is the schema prefix shard results and checkpoints share:
+// version, kind and content ID, the sweep parameters, and the shard's chunk
+// range. Embedded, its fields encode first in each artifact, in this order.
+type shardHeader struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	ID      string `json:"id"`
 	ShardParams
-	StartChunk int             `json:"startChunk"`
-	EndChunk   int             `json:"endChunk"`
-	PerColour  []*ResultRecord `json:"perColour"`
+	StartChunk int `json:"startChunk"`
+	EndChunk   int `json:"endChunk"`
+}
+
+func newShardHeader(kind string, params ShardParams, startChunk, endChunk int) shardHeader {
+	return shardHeader{Version: ShardSchemaVersion, Kind: kind, ShardParams: params,
+		StartChunk: startChunk, EndChunk: endChunk}
+}
+
+// validate checks the header of v, the artifact it heads: schema version
+// and kind, the content ID, parameter sanity, and the chunk range against
+// the partition function.
+func (h *shardHeader) validate(v any, kind string) error {
+	if h.Version != ShardSchemaVersion {
+		return fmt.Errorf("unsupported %s version %d", kind, h.Version)
+	}
+	if h.Kind != kind {
+		return fmt.Errorf("kind %q, want %q", h.Kind, kind)
+	}
+	if err := artifact.Verify(v, &h.ID); err != nil {
+		return err
+	}
+	if err := h.ShardParams.validate(); err != nil {
+		return err
+	}
+	n := h.NChunks()
+	if h.StartChunk != h.Shard*n/h.Shards || h.EndChunk != (h.Shard+1)*n/h.Shards {
+		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
+			h.StartChunk, h.EndChunk, h.Shard, h.Shards, n)
+	}
+	return nil
+}
+
+// write seals v, the artifact h heads, and writes it to path.
+func (h *shardHeader) write(path string, v any) error {
+	if err := artifact.Seal(v, &h.ID); err != nil {
+		return err
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return artifact.WriteFile(path, b, []byte{'\n'})
+}
+
+// ShardResult is the sealed artifact of one completed shard sweep.
+type ShardResult struct {
+	shardHeader
+	PerColour []*ResultRecord `json:"perColour"`
 }
 
 // ShardCheckpoint is the resumable progress artifact of one shard: every
 // chunk in [StartChunk, Frontier) is folded into PerColour; Done marks a
 // finished shard.
 type ShardCheckpoint struct {
-	Version int    `json:"version"`
-	Kind    string `json:"kind"`
-	ID      string `json:"id"`
-	ShardParams
-	StartChunk int             `json:"startChunk"`
-	EndChunk   int             `json:"endChunk"`
-	Frontier   int             `json:"frontier"`
-	Done       bool            `json:"done,omitempty"`
-	PerColour  []*ResultRecord `json:"perColour"`
+	shardHeader
+	Frontier  int             `json:"frontier"`
+	Done      bool            `json:"done,omitempty"`
+	PerColour []*ResultRecord `json:"perColour"`
 }
 
 func newShardCheckpoint(params ShardParams, startChunk, endChunk, frontier int,
 	done bool, acc []*Result) *ShardCheckpoint {
 	return &ShardCheckpoint{
-		Version: ShardSchemaVersion, Kind: KindShardCheckpoint, ShardParams: params,
-		StartChunk: startChunk, EndChunk: endChunk, Frontier: frontier, Done: done,
-		PerColour: resultRecords(acc),
+		shardHeader: newShardHeader(KindShardCheckpoint, params, startChunk, endChunk),
+		Frontier:    frontier, Done: done, PerColour: resultRecords(acc),
 	}
-}
-
-// contentID seals the canonical JSON of v (which must already have its ID
-// field blanked) into a 16-hex-digit content address.
-func contentID(v any) (string, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])[:16], nil
-}
-
-func (sr *ShardResult) computeID() (string, error) {
-	cp := *sr
-	cp.ID = ""
-	return contentID(&cp)
-}
-
-func (ck *ShardCheckpoint) computeID() (string, error) {
-	cp := *ck
-	cp.ID = ""
-	return contentID(&cp)
-}
-
-func (sr *ShardResult) seal() error {
-	id, err := sr.computeID()
-	sr.ID = id
-	return err
 }
 
 // Validate checks internal consistency: schema version and kind, the
-// content-address ID, parameter sanity, the chunk range against the
-// partition function, and that every record decodes.
+// content ID, parameter sanity, the chunk range against the partition
+// function, and that every record decodes.
 func (sr *ShardResult) Validate() error {
-	if sr.Version != ShardSchemaVersion {
-		return fmt.Errorf("unsupported shard-result version %d", sr.Version)
-	}
-	if sr.Kind != KindShardResult {
-		return fmt.Errorf("kind %q, want %q", sr.Kind, KindShardResult)
-	}
-	id, err := sr.computeID()
-	if err != nil {
+	if err := sr.validate(sr, KindShardResult); err != nil {
 		return err
-	}
-	if sr.ID != id {
-		return fmt.Errorf("ID %q does not match content %q: file truncated or tampered", sr.ID, id)
-	}
-	if err := sr.ShardParams.validate(); err != nil {
-		return err
-	}
-	n := sr.NChunks()
-	if sr.StartChunk != sr.Shard*n/sr.Shards || sr.EndChunk != (sr.Shard+1)*n/sr.Shards {
-		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
-			sr.StartChunk, sr.EndChunk, sr.Shard, sr.Shards, n)
 	}
 	return validateRecords(sr.PerColour, len(sr.Colours))
 }
@@ -223,26 +212,8 @@ func (sr *ShardResult) Validate() error {
 // Validate is ShardResult.Validate for checkpoints, additionally pinning
 // the frontier inside the shard's chunk range.
 func (ck *ShardCheckpoint) Validate() error {
-	if ck.Version != ShardSchemaVersion {
-		return fmt.Errorf("unsupported shard-checkpoint version %d", ck.Version)
-	}
-	if ck.Kind != KindShardCheckpoint {
-		return fmt.Errorf("kind %q, want %q", ck.Kind, KindShardCheckpoint)
-	}
-	id, err := ck.computeID()
-	if err != nil {
+	if err := ck.validate(ck, KindShardCheckpoint); err != nil {
 		return err
-	}
-	if ck.ID != id {
-		return fmt.Errorf("ID %q does not match content %q: file truncated or tampered", ck.ID, id)
-	}
-	if err := ck.ShardParams.validate(); err != nil {
-		return err
-	}
-	n := ck.NChunks()
-	if ck.StartChunk != ck.Shard*n/ck.Shards || ck.EndChunk != (ck.Shard+1)*n/ck.Shards {
-		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
-			ck.StartChunk, ck.EndChunk, ck.Shard, ck.Shards, n)
 	}
 	if ck.Frontier < ck.StartChunk || ck.Frontier > ck.EndChunk {
 		return fmt.Errorf("frontier %d outside chunk range [%d,%d]",
@@ -284,56 +255,9 @@ func (sr *ShardResult) Result() (*Result, error) {
 	return foldColours(perColour, sr.MaxViolations), nil
 }
 
-// WriteFile seals the result (if not yet sealed) and writes it atomically.
-func (sr *ShardResult) WriteFile(path string) error {
-	if sr.ID == "" {
-		if err := sr.seal(); err != nil {
-			return err
-		}
-	}
-	b, err := json.Marshal(sr)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, append(b, '\n'))
-}
-
-func writeShardCheckpoint(path string, ck *ShardCheckpoint) error {
-	id, err := ck.computeID()
-	if err != nil {
-		return err
-	}
-	ck.ID = id
-	b, err := json.Marshal(ck)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(path, append(b, '\n'))
-}
-
-// writeFileAtomic writes through a same-directory temp file and rename, so
-// readers and resumed runs never observe a torn artifact.
-func writeFileAtomic(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
+// WriteFile seals the result, so edits made after an earlier seal are
+// covered, and writes it atomically.
+func (sr *ShardResult) WriteFile(path string) error { return sr.write(path, sr) }
 
 // DecodeShardResult decodes and validates one shard-result artifact. It is
 // total over arbitrary bytes: errors, never panics.

@@ -18,7 +18,6 @@ import (
 	"repro/internal/asm"
 	"repro/internal/kernel"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/witness"
 )
 
@@ -134,24 +133,6 @@ func ProbeFor(l kernel.Leaks) string {
 		return ProbeOverlap
 	default:
 		return ProbePlain
-	}
-}
-
-// Factory returns a builder of independent replicas of the standard
-// verification system, suitable for separability.CheckRandomizedParallel:
-// each call boots a fresh machine, kernel and device set from scratch. A
-// build error yields nil (the checker then skips that worker). Note the
-// kernel adapter also implements model.Replicable, so Options.Workers on a
-// Build-produced system works without this factory; it remains useful when
-// the configuration, not a live instance, is the natural unit to ship to
-// workers.
-func Factory(probe string, leaks kernel.Leaks, cut bool) func() model.Perturbable {
-	return func() model.Perturbable {
-		sys, err := Build(probe, leaks, cut)
-		if err != nil {
-			return nil
-		}
-		return sys
 	}
 }
 

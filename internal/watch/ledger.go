@@ -1,16 +1,14 @@
 package watch
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"regexp"
 
+	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/separability"
 	"repro/internal/witness"
@@ -21,24 +19,21 @@ import (
 //	<dir>/<deployment>/ledger.jsonl   — one canonical JSON Record per line
 //	<dir>/<deployment>/blobs/<sha256> — JSONL trace blobs, content-addressed
 //
-// Records are content-addressed (ID = truncated SHA-256 of the record with
-// its ID blanked) and hash-chained (each record pins its predecessor's ID),
-// so the decoder is tamper-evident twice over: editing any line breaks its
-// own ID, and deleting or reordering lines breaks the chain.
+// Records are sealed with a content ID (package artifact) and hash-chained
+// (each record pins its predecessor's ID), so the decoder is
+// tamper-evident twice over: editing any line breaks its own ID, and
+// deleting or reordering lines breaks the chain.
 
 const (
 	// LedgerSchemaVersion versions the build-record schema.
 	LedgerSchemaVersion = 1
-	// KindBuildRecord discriminates ledger records from the other
-	// content-addressed artifacts in this repository (witnesses, shard
-	// results, checkpoints), which share the same conventions.
+	// KindBuildRecord is the kind every ledger record carries. Like the
+	// kinds of shard results and checkpoints, it lets a reader reject a
+	// record of another schema; witnesses carry no kind.
 	KindBuildRecord = "build-record"
 
 	ledgerName = "ledger.jsonl"
 	blobsDir   = "blobs"
-	// maxLedgerLine bounds one record; a line is metadata plus a few
-	// violation records, far below this.
-	maxLedgerLine = 16 << 20
 )
 
 // BuildInfo identifies the build that produced a record, so `sepwatch
@@ -131,8 +126,7 @@ func (d Drift) String() string {
 type Record struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
-	// ID is the truncated SHA-256 of this record's canonical JSON with ID
-	// blanked (witness-store conventions).
+	// ID is the record's content ID (see package artifact).
 	ID string `json:"id"`
 	// PrevID chains this record to its predecessor ("" for the first
 	// build); Seq is the 1-based build number.
@@ -177,12 +171,6 @@ type Record struct {
 	Drift []Drift `json:"drift,omitempty"`
 }
 
-func (r *Record) computeID() (string, error) {
-	cp := *r
-	cp.ID = ""
-	return witness.ContentID(&cp)
-}
-
 // Validate checks the structural invariants of one record in isolation
 // (the chain invariants need the predecessor; Records checks those).
 func (r *Record) Validate() error {
@@ -192,12 +180,8 @@ func (r *Record) Validate() error {
 	if r.Kind != KindBuildRecord {
 		return fmt.Errorf("kind %q, want %q", r.Kind, KindBuildRecord)
 	}
-	id, err := r.computeID()
-	if err != nil {
+	if err := artifact.Verify(r, &r.ID); err != nil {
 		return err
-	}
-	if r.ID != id {
-		return fmt.Errorf("ID %q does not match content %q: line truncated or tampered", r.ID, id)
 	}
 	if r.Seq < 1 {
 		return fmt.Errorf("record %s: seq %d < 1", r.ID, r.Seq)
@@ -205,13 +189,8 @@ func (r *Record) Validate() error {
 	if r.Deployment == "" {
 		return fmt.Errorf("record %s: no deployment name", r.ID)
 	}
-	if r.TraceBlob != "" {
-		if len(r.TraceBlob) != 64 {
-			return fmt.Errorf("record %s: trace blob address %q is not a sha256", r.ID, r.TraceBlob)
-		}
-		if _, err := hex.DecodeString(r.TraceBlob); err != nil {
-			return fmt.Errorf("record %s: trace blob address: %w", r.ID, err)
-		}
+	if r.TraceBlob != "" && !artifact.IsHash(r.TraceBlob) {
+		return fmt.Errorf("record %s: trace blob address %q is not a sha256", r.ID, r.TraceBlob)
 	}
 	if len(r.TraceDigest) != 16 {
 		return fmt.Errorf("record %s: trace digest %q is not 16 hex digits", r.ID, r.TraceDigest)
@@ -258,67 +237,56 @@ func (l *Ledger) Dir() string { return l.dir }
 // chain to its predecessor (Seq increments from 1, PrevID pins the prior
 // record's ID). A missing ledger file is an empty history, not an error.
 func (l *Ledger) Records() ([]*Record, error) {
-	f, err := os.Open(filepath.Join(l.dir, ledgerName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
+	_, recs, err := l.read()
+	return recs, err
+}
+
+// read returns the ledger file's bytes together with its validated records.
+func (l *Ledger) read() ([]byte, []*Record, error) {
+	path := filepath.Join(l.dir, ledgerName)
+	b, err := artifact.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	defer f.Close()
-	recs, err := ReadLedger(f)
+	recs, err := ReadLedger(b)
 	if err != nil {
-		return nil, fmt.Errorf("watch: %s: %w", filepath.Join(l.dir, ledgerName), err)
+		return nil, nil, fmt.Errorf("watch: %s: %w", path, err)
 	}
 	for _, r := range recs {
 		if r.Deployment != l.deployment {
-			return nil, fmt.Errorf("watch: %s: record %s names deployment %q",
-				filepath.Join(l.dir, ledgerName), r.ID, r.Deployment)
+			return nil, nil, fmt.Errorf("watch: %s: record %s names deployment %q", path, r.ID, r.Deployment)
 		}
 	}
-	return recs, nil
+	return b, recs, nil
 }
 
-// ReadLedger decodes a ledger.jsonl stream, enforcing per-record and chain
+// ReadLedger decodes ledger.jsonl bytes, enforcing per-record and chain
 // invariants. The decoder is total: arbitrary bytes yield records or an
 // error, never a panic.
-func ReadLedger(r io.Reader) ([]*Record, error) {
+func ReadLedger(b []byte) ([]*Record, error) {
 	var out []*Record
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxLedgerLine)
-	ln := 0
-	for sc.Scan() {
-		ln++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := artifact.ReadLines(b, func(line []byte) error {
 		rec := &Record{}
 		if err := json.Unmarshal(line, rec); err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln, err)
+			return err
 		}
 		if err := rec.Validate(); err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln, err)
+			return err
 		}
 		if len(out) == 0 {
 			if rec.Seq != 1 || rec.PrevID != "" {
-				return nil, fmt.Errorf("line %d: record %s does not start a chain (seq %d, prevId %q)",
-					ln, rec.ID, rec.Seq, rec.PrevID)
+				return fmt.Errorf("record %s does not start a chain (seq %d, prevId %q)",
+					rec.ID, rec.Seq, rec.PrevID)
 			}
-		} else {
-			prev := out[len(out)-1]
-			if rec.Seq != prev.Seq+1 {
-				return nil, fmt.Errorf("line %d: seq %d after %d: ledger reordered or truncated",
-					ln, rec.Seq, prev.Seq)
-			}
-			if rec.PrevID != prev.ID {
-				return nil, fmt.Errorf("line %d: prevId %q does not chain to %s: ledger edited",
-					ln, rec.PrevID, prev.ID)
-			}
+		} else if prev := out[len(out)-1]; rec.Seq != prev.Seq+1 {
+			return fmt.Errorf("seq %d after %d: ledger reordered or truncated", rec.Seq, prev.Seq)
+		} else if rec.PrevID != prev.ID {
+			return fmt.Errorf("prevId %q does not chain to %s: ledger edited", rec.PrevID, prev.ID)
 		}
 		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -338,58 +306,43 @@ func (l *Ledger) Head() (*Record, error) {
 // are computed here; callers fill everything else. The ledger is
 // single-writer: one sepwatch process owns a watch directory.
 func (l *Ledger) Append(rec *Record, trace []byte) error {
-	head, err := l.Head()
+	old, recs, err := l.read()
 	if err != nil {
 		return err
 	}
 	rec.Version = LedgerSchemaVersion
 	rec.Kind = KindBuildRecord
 	rec.Deployment = l.deployment
-	if head == nil {
-		rec.Seq, rec.PrevID = 1, ""
-	} else {
-		rec.Seq, rec.PrevID = head.Seq+1, head.ID
+	rec.Seq, rec.PrevID = 1, ""
+	if n := len(recs); n > 0 {
+		rec.Seq, rec.PrevID = recs[n-1].Seq+1, recs[n-1].ID
 	}
 	if trace != nil {
-		rec.TraceBlob = witness.HashHex(trace)
+		rec.TraceBlob = artifact.Hash(trace)
 	}
-	id, err := rec.computeID()
-	if err != nil {
+	if err := artifact.Seal(rec, &rec.ID); err != nil {
 		return err
 	}
-	rec.ID = id
 	if err := rec.Validate(); err != nil {
 		return fmt.Errorf("watch: refusing to append invalid record: %w", err)
 	}
 
-	if err := os.MkdirAll(filepath.Join(l.dir, blobsDir), 0o755); err != nil {
+	blobs := filepath.Join(l.dir, blobsDir)
+	if err := os.MkdirAll(blobs, 0o755); err != nil {
 		return err
 	}
 	if trace != nil {
-		bp := filepath.Join(l.dir, blobsDir, rec.TraceBlob)
-		if _, err := os.Stat(bp); os.IsNotExist(err) {
-			// Content-addressed: an identical trace (the idempotent
-			// re-verification case) is stored once. Atomic write keeps a
-			// concurrent reader off torn blobs.
-			if err := witness.AtomicWriteFile(bp, trace); err != nil {
-				return err
-			}
+		// An identical trace (the idempotent re-verification case) is
+		// stored once.
+		if err := artifact.PutBlob(blobs, trace); err != nil {
+			return err
 		}
 	}
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(l.dir, ledgerName),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return f.Close()
+	return artifact.AppendLine(filepath.Join(l.dir, ledgerName), old, line)
 }
 
 // LoadTrace reads, verifies and decodes rec's trace blob. A record with no
@@ -398,12 +351,9 @@ func (l *Ledger) LoadTrace(rec *Record) ([]obs.Event, error) {
 	if rec.TraceBlob == "" {
 		return nil, nil
 	}
-	b, err := os.ReadFile(filepath.Join(l.dir, blobsDir, rec.TraceBlob))
+	b, err := artifact.GetBlob(filepath.Join(l.dir, blobsDir), rec.TraceBlob)
 	if err != nil {
-		return nil, err
-	}
-	if witness.HashHex(b) != rec.TraceBlob {
-		return nil, fmt.Errorf("watch: record %s: trace blob corrupt (hash mismatch)", rec.ID)
+		return nil, fmt.Errorf("watch: record %s: trace: %w", rec.ID, err)
 	}
 	return obs.ReadJSONL(bytes.NewReader(b))
 }

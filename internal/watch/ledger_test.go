@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/artifact"
 	"repro/internal/obs"
 	"repro/internal/witness"
 )
@@ -56,7 +57,7 @@ func TestLedgerAppendChainsAndRoundTrips(t *testing.T) {
 	if r1.Deployment != "honest" {
 		t.Fatalf("Append did not stamp the ledger's deployment: %q", r1.Deployment)
 	}
-	if r1.TraceBlob != witness.HashHex(trace) {
+	if r1.TraceBlob != artifact.Hash(trace) {
 		t.Fatalf("blob address %q", r1.TraceBlob)
 	}
 
@@ -188,13 +189,11 @@ func TestRecordValidateRejectsBadShapes(t *testing.T) {
 		r := testRecord("d", true)
 		r.Seq, r.PrevID = 1, ""
 		corrupt(r)
-		id, err := r.computeID()
-		if err != nil {
+		if err := artifact.Seal(r, &r.ID); err != nil {
 			t.Fatal(err)
 		}
-		r.ID = id
 		b, _ := json.Marshal(r)
-		if _, err := ReadLedger(bytes.NewReader(append(b, '\n'))); err == nil {
+		if _, err := ReadLedger(append(b, '\n')); err == nil {
 			t.Errorf("bad shape %d decoded cleanly", i)
 		}
 	}

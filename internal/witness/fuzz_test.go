@@ -44,12 +44,12 @@ func FuzzWitnessRead(f *testing.F) {
 	f.Add([]byte(`{"id":"0000000000000000","snapshot":"x","steps":[]}` + "\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ws, err := witness.ReadManifest(bytes.NewReader(data))
+		ws, err := witness.ReadManifest(data)
 		if err != nil {
 			return
 		}
 		canon := marshalManifest(t, ws)
-		ws2, err := witness.ReadManifest(bytes.NewReader(canon))
+		ws2, err := witness.ReadManifest(canon)
 		if err != nil {
 			t.Fatalf("canonical manifest failed to re-read: %v\n%s", err, canon)
 		}
@@ -71,7 +71,7 @@ func TestRegenerateWitnessCorpus(t *testing.T) {
 			t.Fatalf("committed corpus missing (run with REGEN_WITNESS_CORPUS=1): %v", err)
 		}
 		line := corpusValue(t, b)
-		if _, err := witness.ReadManifest(bytes.NewReader(line)); err != nil {
+		if _, err := witness.ReadManifest(line); err != nil {
 			t.Fatalf("committed corpus entry no longer parses — schema drifted; "+
 				"regenerate with REGEN_WITNESS_CORPUS=1: %v", err)
 		}

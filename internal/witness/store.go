@@ -1,119 +1,47 @@
 package witness
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/artifact"
 )
 
 // The on-disk layout of a witness directory:
 //
-//	<dir>/manifest.jsonl   — one canonical JSON Witness per line, appended
+//	<dir>/manifest.jsonl   — one canonical JSON Witness per line
 //	<dir>/blobs/<sha256>   — pre-state snapshot blobs, content-addressed
 //
-// Both sides are content-addressed: blobs by their SHA-256, manifest
-// records by the ID baked into each line (the SHA-256 of the record with
-// its ID blanked). Re-capturing the identical counterexample is therefore
-// idempotent — the store recognizes the ID and skips the append.
+// Both sides are content-addressed under the rules of package artifact:
+// blobs by their SHA-256, manifest records by the ID sealed into each line.
+// Re-capturing the identical counterexample is therefore idempotent — the
+// store recognizes the ID and leaves the manifest as it is.
 
 const (
 	manifestName = "manifest.jsonl"
 	blobsDir     = "blobs"
-	// maxManifestLine bounds one manifest record; a line is a few KB of
-	// metadata plus the encoded input steps, far below this.
-	maxManifestLine = 16 << 20
 )
 
-// HashHex is the store's content address function: the SHA-256 of b in
-// lowercase hex. Exported because other artifact stores in this repository
-// (shard artifacts, the sepwatch build ledger) follow the same conventions
-// and must address identical bytes identically.
-func HashHex(b []byte) string {
-	h := sha256.Sum256(b)
-	return hex.EncodeToString(h[:])
-}
-
-func hashHex(b []byte) string { return HashHex(b) }
-
-// ContentID derives the 16-hex-digit short content address used for
-// manifest/ledger record IDs: the truncated SHA-256 of the record's
-// canonical JSON. The caller must blank the record's own ID field first,
-// exactly as computeID does for witnesses.
-func ContentID(v any) (string, error) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	return HashHex(b)[:16], nil
-}
-
-// AtomicWriteFile writes b through a same-directory temp file plus rename,
-// so concurrent readers (and a process killed mid-write) observe either
-// the previous complete file or the new one, never a torn artifact.
-func AtomicWriteFile(path string, b []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(b); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
-}
-
-// canonicalJSON is the byte form IDs are computed over and manifest lines
-// are written in: encoding/json with fixed field order (struct order) and
-// compacted RawMessage values. Re-encoding a decoded witness reproduces
-// the same bytes — the fixed point FuzzWitnessRead checks.
-func canonicalJSON(w *Witness) ([]byte, error) {
-	return json.Marshal(w)
-}
-
-// computeID derives the content address of a witness record: the first 16
-// hex digits of the SHA-256 of its canonical JSON with the ID field empty.
-func computeID(w *Witness) (string, error) {
-	cp := *w
-	cp.ID = ""
-	return ContentID(&cp)
-}
-
 // writeWitness persists w into dir, creating the layout as needed. The
-// blob write and the manifest append are both skipped when the content is
+// blob write and the manifest rewrite are both skipped when the content is
 // already present.
 func writeWitness(dir string, w *Witness) error {
 	if w.ID == "" {
 		return fmt.Errorf("witness: refusing to persist a witness without an ID")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, blobsDir), 0o755); err != nil {
+	blobs := filepath.Join(dir, blobsDir)
+	if err := os.MkdirAll(blobs, 0o755); err != nil {
 		return err
 	}
 	if w.blob != nil {
-		bp := filepath.Join(dir, blobsDir, w.Snapshot)
-		if _, err := os.Stat(bp); os.IsNotExist(err) {
-			if err := os.WriteFile(bp, w.blob, 0o644); err != nil {
-				return err
-			}
+		if err := artifact.PutBlob(blobs, w.blob); err != nil {
+			return err
 		}
 	}
 
-	existing, err := Load(dir)
+	old, existing, err := load(dir)
 	if err != nil {
 		return err
 	}
@@ -122,67 +50,54 @@ func writeWitness(dir string, w *Witness) error {
 			return nil
 		}
 	}
-	line, err := canonicalJSON(w)
+	line, err := json.Marshal(w)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(filepath.Join(dir, manifestName),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		return err
-	}
-	return f.Close()
+	return artifact.AppendLine(filepath.Join(dir, manifestName), old, line)
 }
 
 // Load reads the manifest of a witness directory. Snapshot blobs are NOT
 // loaded — call LoadState per witness before replaying. A missing
 // manifest yields an empty slice (an empty store, not an error).
 func Load(dir string) ([]*Witness, error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	ws, err := ReadManifest(f)
-	if err != nil {
-		return nil, fmt.Errorf("witness: %s: %w", filepath.Join(dir, manifestName), err)
-	}
-	return ws, nil
+	_, ws, err := load(dir)
+	return ws, err
 }
 
-// ReadManifest decodes a manifest.jsonl stream. Every line must be a
-// valid witness record: parseable JSON, an ID consistent with the record's
+// load returns the manifest's bytes together with the witnesses they hold.
+func load(dir string) ([]byte, []*Witness, error) {
+	path := filepath.Join(dir, manifestName)
+	b, err := artifact.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	ws, err := ReadManifest(b)
+	if err != nil {
+		return nil, nil, fmt.Errorf("witness: %s: %w", path, err)
+	}
+	return b, ws, nil
+}
+
+// ReadManifest decodes manifest.jsonl bytes. Every line must be a valid
+// witness record: parseable JSON, an ID consistent with the record's
 // content, and a well-formed snapshot hash. The decoder is total — any
 // input, including adversarial bytes, yields witnesses or an error, never
-// a panic (FuzzWitnessRead holds it to that).
-func ReadManifest(r io.Reader) ([]*Witness, error) {
+// a panic (FuzzWitnessRead and artifact's FuzzReadLines hold it to that).
+func ReadManifest(b []byte) ([]*Witness, error) {
 	var out []*Witness
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxManifestLine)
-	ln := 0
-	for sc.Scan() {
-		ln++
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := artifact.ReadLines(b, func(line []byte) error {
 		w := &Witness{}
 		if err := json.Unmarshal(line, w); err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln, err)
+			return err
 		}
 		if err := validate(w); err != nil {
-			return nil, fmt.Errorf("line %d: %w", ln, err)
+			return err
 		}
 		out = append(out, w)
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -192,18 +107,11 @@ func ReadManifest(r io.Reader) ([]*Witness, error) {
 // anything trusts it: a content-consistent ID, a hex snapshot address, and
 // at least one step (the violating step itself).
 func validate(w *Witness) error {
-	id, err := computeID(w)
-	if err != nil {
-		return err
+	if err := artifact.Verify(w, &w.ID); err != nil {
+		return fmt.Errorf("witness: %w", err)
 	}
-	if w.ID != id {
-		return fmt.Errorf("witness %q: ID does not match content (want %s)", w.ID, id)
-	}
-	if len(w.Snapshot) != 64 {
+	if !artifact.IsHash(w.Snapshot) {
 		return fmt.Errorf("witness %s: snapshot address %q is not a sha256", w.ID, w.Snapshot)
-	}
-	if _, err := hex.DecodeString(w.Snapshot); err != nil {
-		return fmt.Errorf("witness %s: snapshot address: %w", w.ID, err)
 	}
 	if len(w.Steps) == 0 {
 		return fmt.Errorf("witness %s: no steps", w.ID)
@@ -220,12 +128,9 @@ func (w *Witness) LoadState(dir string) error {
 	if w.blob != nil {
 		return nil
 	}
-	b, err := os.ReadFile(filepath.Join(dir, blobsDir, w.Snapshot))
+	b, err := artifact.GetBlob(filepath.Join(dir, blobsDir), w.Snapshot)
 	if err != nil {
-		return err
-	}
-	if hashHex(b) != w.Snapshot {
-		return fmt.Errorf("witness %s: snapshot blob corrupt (hash mismatch)", w.ID)
+		return fmt.Errorf("witness %s: snapshot: %w", w.ID, err)
 	}
 	w.blob = b
 	return nil

@@ -24,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/artifact"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/separability"
@@ -274,7 +275,7 @@ func captureOne(sys model.Perturbable, port model.Portable, copt separability.Op
 		return nil, err
 	}
 	w.blob = blob
-	w.Snapshot = hashHex(blob)
+	w.Snapshot = artifact.Hash(blob)
 	w.Steps = make([]Step, len(ins))
 	for i, in := range ins {
 		b, err := port.EncodeInput(in)
@@ -283,11 +284,9 @@ func captureOne(sys model.Perturbable, port model.Portable, copt separability.Op
 		}
 		w.Steps[i] = Step{Input: rawOrNull(b)}
 	}
-	id, err := computeID(w)
-	if err != nil {
+	if err := artifact.Seal(w, &w.ID); err != nil {
 		return nil, err
 	}
-	w.ID = id
 	return w, nil
 }
 
