@@ -16,16 +16,15 @@ lint:
 	$(GO) run ./cmd/seplint .
 
 # Short fuzzing pass over every fuzz target: assembler, CFG builder and
-# value-set resolution, delta snapshots and translation invalidation, the
-# trace decoder, the shared artifact line reader (witness manifests and
-# build ledgers), witness manifests and checkpoint resume. CI runs this
-# target; the committed corpora seed each fuzzer.
+# value-set resolution, delta snapshots, the trace decoder, the shared
+# artifact line reader (witness manifests and build ledgers), witness
+# manifests and checkpoint resume. CI runs this target; the committed
+# corpora seed each fuzzer.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzBuildCFG -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzVSAResolve -fuzztime 10s
 	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzDeltaRestore -fuzztime 10s
-	$(GO) test ./internal/machine -run '^$$' -fuzz FuzzTranslationInvalidation -fuzztime 10s
 	$(GO) test ./internal/obs -run '^$$' -fuzz FuzzReadJSONL -fuzztime 10s
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzReadLines -fuzztime 10s
 	$(GO) test ./internal/witness -run '^$$' -fuzz FuzzWitnessRead -fuzztime 10s
@@ -56,8 +55,7 @@ trace-smoke:
 # violation is captured, shrunk and stored, then replay each store from its
 # artifacts alone with -require-shrink — replay must reproduce the recorded
 # condition/colour/digest pair on a freshly built system, and the shrinker
-# must have dropped ops overall. A second replay with -notranslate pins the
-# witnesses to architected state (independent of the translation cache).
+# must have dropped ops overall.
 # Artifacts land in witness-smoke/ for CI upload. sepverify exits 0 here:
 # with -leak, catching the leak is the expected outcome.
 witness-smoke:
@@ -67,8 +65,6 @@ witness-smoke:
 	mv witness-smoke-verify.txt witness-smoke/verify.txt
 	$(GO) run ./cmd/sepwitness -dir witness-smoke/RegisterLeak -require-shrink replay
 	$(GO) run ./cmd/sepwitness -dir witness-smoke/SharedScratch -require-shrink replay
-	$(GO) run ./cmd/sepwitness -dir witness-smoke/RegisterLeak -notranslate replay
-	$(GO) run ./cmd/sepwitness -dir witness-smoke/SharedScratch -notranslate replay
 	@echo "witness-smoke: all witnesses replayed from artifacts"
 
 # Flow-triage smoke (E17): capture a witness store from the RegisterLeak

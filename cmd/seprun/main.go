@@ -89,7 +89,6 @@ func main() {
 	traceFormat := flag.String("trace-format", "jsonl",
 		"trace file format: jsonl (one event per line) or chrome (trace_event for chrome://tracing / Perfetto)")
 	metrics := flag.Bool("metrics", false, "dump kernel activity counters in Prometheus text format after the run")
-	notranslate := flag.Bool("notranslate", false, "run the SM11 interpreter without the basic-block translation cache")
 	var chans chanFlags
 	flag.Var(&chans, "chan", "add a channel FROM:TO between regime indexes (repeatable)")
 	flag.Parse()
@@ -134,9 +133,6 @@ func main() {
 	}
 	if *cut {
 		b.CutChannels()
-	}
-	if *notranslate {
-		b.NoTranslate()
 	}
 	if *slice > 0 {
 		b.WithFixedSlice(*slice)

@@ -41,11 +41,10 @@ type Builder struct {
 	regimes    []regimeDecl
 	channels   []kernel.ChannelSpec
 	cut        bool
-	leaks       kernel.Leaks
-	fixedSlice  int
-	devices     []machine.Device
-	noTranslate bool
-	err         error
+	leaks      kernel.Leaks
+	fixedSlice int
+	devices    []machine.Device
+	err        error
 }
 
 // NewBuilder starts a configuration with the default RAM size.
@@ -100,15 +99,6 @@ func (b *Builder) WithFixedSlice(n int) *Builder {
 	return b
 }
 
-// NoTranslate disables the machine's basic-block translation cache for this
-// system. Semantics are identical either way (the cache is host state only);
-// this is an A/B lever for benchmarking and for isolating a suspected
-// translation bug.
-func (b *Builder) NoTranslate() *Builder {
-	b.noTranslate = true
-	return b
-}
-
 // System is a built, booted separation-kernel system.
 type System struct {
 	Machine *machine.Machine
@@ -126,9 +116,6 @@ func (b *Builder) Build() (*System, error) {
 		return nil, fmt.Errorf("core: no regimes declared")
 	}
 	m := machine.New(b.ramWords)
-	if b.noTranslate {
-		m.SetTranslation(false)
-	}
 	for _, d := range b.devices {
 		m.Attach(d)
 	}

@@ -379,7 +379,6 @@ func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
 func (a *Adapter) Clone() model.SharedSystem {
 	k := a.K
 	m2 := machine.New(k.m.RAMWords())
-	m2.SetTranslation(k.m.TranslationEnabled())
 	devByName := map[string]machine.Device{}
 	for _, d := range k.m.Devices() {
 		rep, ok := d.(machine.Replicator)

@@ -74,7 +74,7 @@ func (a *Adapter) DecodeInput(data []byte) (model.Input, error) {
 }
 
 // SetTracer attaches t to both the kernel (service/fault/switch events) and
-// the underlying machine (device and translation events), or detaches both
+// the underlying machine (device events), or detaches both
 // when t is nil. Tracing is host-side observation only; it never changes
 // what the system computes.
 func (a *Adapter) SetTracer(t obs.Tracer) {

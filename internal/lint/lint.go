@@ -1,6 +1,6 @@
 // Package lint enforces the repository's security-architecture invariants
 // over the Go sources themselves — the repo-level analogue of what package
-// staticflow does to machine programs. Seven rules, all purely syntactic
+// staticflow does to machine programs. Six rules, all purely syntactic
 // (go/ast, no external dependencies):
 //
 //   - obs-zero-dep: internal/obs is the observability layer every subsystem
@@ -30,13 +30,6 @@
 //     no receiver state may be assigned and no raw mutator may be called.
 //     Observation must not perturb the modelled system — the property that
 //     keeps verification results valid with tracing enabled.
-//
-//   - tc-host-only: the basic-block translation cache is host-side
-//     acceleration state, invisible to the modelled machine. Guest-visible
-//     read-out paths — Snapshot, Encode, Hash, Equal, Abstract,
-//     AbstractDigest, renderPhi — must never reference it: a cache that
-//     leaked into a snapshot or a Φ digest would make verification verdicts
-//     depend on execution strategy instead of machine state.
 //
 //   - trap-summary-sync: the per-trap footprint table
 //     (internal/kernel/footprint.go) is how the static analyzer models
@@ -108,23 +101,6 @@ var mutatorAllowed = map[string]bool{
 // tracerFields are the receiver fields recognised as tracer hooks.
 var tracerFields = map[string]bool{"tracer": true, "events": true}
 
-// tcReadoutFuncs are the guest-visible read-out functions tc-host-only
-// polices: everything that encodes, digests or compares modelled machine
-// state. (Restore/DeltaRestore legitimately touch the cache — they must
-// invalidate it — so they are deliberately absent.)
-var tcReadoutFuncs = map[string]bool{
-	"Snapshot": true, "Encode": true, "Hash": true, "Equal": true,
-	"Abstract": true, "AbstractDigest": true, "renderPhi": true,
-}
-
-// tcIdents are identifiers that belong to the translation cache: its field,
-// its types, and the machine methods that expose or drive it.
-var tcIdents = map[string]bool{
-	"tc": true, "tcache": true, "tblock": true, "noTranslate": true,
-	"TranslationStats": true, "TranslationEnabled": true, "SetTranslation": true,
-	"stepTranslated": true, "runFast": true, "flushTC": true, "invalidateTC": true,
-}
-
 // sha256Allowed lists the package directories that may import crypto/sha256.
 var sha256Allowed = map[string]bool{
 	"internal/artifact": true,
@@ -193,9 +169,6 @@ func lintFile(fset *token.FileSet, path, dir string, sync *trapSync) ([]Diagnost
 	}
 	if !isTest && mutatorAllowed[dir] {
 		l.checkHookPurity(f)
-	}
-	if !isTest {
-		l.checkTCPurity(f)
 	}
 	if !isTest {
 		l.checkArtifactIO(f, dir)
@@ -286,27 +259,6 @@ func (l *linter) checkDeviceAccess(f *ast.File) {
 			"%s mutates device state behind the write barrier; use machine.Inject (or the I/O page) so delta snapshots stay sound", sel.Sel.Name)
 		return true
 	})
-}
-
-// checkTCPurity enforces tc-host-only: read-out functions must not mention
-// any translation-cache identifier, neither as a field/method selector nor
-// as a bare name.
-func (l *linter) checkTCPurity(f *ast.File) {
-	for _, decl := range f.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil || !tcReadoutFuncs[fn.Name.Name] {
-			continue
-		}
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if ok && tcIdents[id.Name] {
-				l.report(id.Pos(), "tc-host-only",
-					"%s references translation-cache state (%s); the cache is host-only and must stay out of snapshots, digests and Φ",
-					fn.Name.Name, id.Name)
-			}
-			return true
-		})
-	}
 }
 
 // checkArtifactIO enforces artifact-io.

@@ -194,46 +194,6 @@ func (m *M) tick() {
 	}
 }
 
-func TestTCHostOnly(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/machine/snap.go", `package machine
-type M struct {
-	ram []uint16
-	tc  *tcache
-}
-type tcache struct{ hits uint64 }
-type Snap struct{ words []uint16 }
-func (m *M) Snapshot() *Snap {
-	_ = m.tc // the cache must never reach a snapshot
-	return &Snap{words: m.ram}
-}
-func (m *M) restoreLike() {
-	m.tc = nil // invalidation outside the read-out family: sanctioned
-}
-`)
-	diags := runLint(t, root)
-	if len(diags) != 1 || diags[0].Rule != "tc-host-only" {
-		t.Fatalf("diags = %v, want one tc-host-only in Snapshot", diags)
-	}
-
-	// Digest paths are policed in every package, kernel included.
-	root2 := t.TempDir()
-	write(t, root2, "internal/kernel/phi.go", `package kernel
-type A struct{ enabled bool }
-func (a *A) AbstractDigest(c string) uint64 {
-	if a.TranslationEnabled() {
-		return 1
-	}
-	return 0
-}
-func (a *A) TranslationEnabled() bool { return a.enabled }
-`)
-	diags = runLint(t, root2)
-	if len(diags) != 1 || diags[0].Rule != "tc-host-only" {
-		t.Fatalf("diags = %v, want one tc-host-only in AbstractDigest", diags)
-	}
-}
-
 // Atomic-write primitives and SHA-256 stay inside internal/artifact (plus
 // the two allowlisted hashing packages); tests may use them anywhere.
 func TestArtifactIO(t *testing.T) {

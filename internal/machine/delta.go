@@ -112,11 +112,9 @@ func (m *Machine) DeltaRestore(d *Delta) {
 		panic("machine: DeltaRestore of a delta that is not active on this machine")
 	}
 	// Each logged address appears once with its snapshot-point value, so
-	// write-back order is irrelevant. The write-back bypasses writeRAM, so
-	// it must invalidate translated blocks itself: the words may be code.
+	// write-back order is irrelevant.
 	for i, a := range d.addrs {
 		m.ram[a] = d.olds[i]
-		m.invalidateTC(a)
 	}
 	d.addrs = d.addrs[:0]
 	d.olds = d.olds[:0]
@@ -210,11 +208,6 @@ func (m *Machine) writeRAM(a, v Word) {
 		d.addrs = append(d.addrs, a)
 		d.olds = append(d.olds, m.ram[a])
 	}
-	// The same barrier keeps the translation cache coherent: any store
-	// into a translated range evicts the covering blocks (translate.go).
-	if t := m.tc; t != nil && t.cover[a] != 0 {
-		t.invalidateWord(a)
-	}
 	m.ram[a] = v
 }
 
@@ -263,7 +256,6 @@ func (d *Delta) restoreCPU(m *Machine) {
 	m.psw = d.psw
 	m.mmu.Base = d.segBase
 	m.mmu.Ctl = d.segCtl
-	m.mapGen++
 	m.mmu.AbortReason = d.mmuStat
 	m.mmu.AbortVaddr = d.mmuAddr
 	m.halted = d.halted

@@ -39,14 +39,6 @@ type Machine struct {
 	dirtyEpoch uint32
 	deltaGen   uint64
 
-	// Translation-cache state (see translate.go). tc is HOST state only:
-	// Snapshot/Restore and every Φ rendering ignore it (lint-enforced).
-	// mapGen advances on any MMU mapping change so cached user-mode
-	// dispatch can revalidate in one compare.
-	tc          *tcache
-	noTranslate bool
-	mapGen      uint64
-
 	cycles uint64
 
 	tracer func(TraceEntry)
@@ -84,7 +76,6 @@ func (m *Machine) Reset() {
 	m.altSP = 0
 	m.psw = WithPriority(0, 7) // kernel mode, all interrupts masked
 	m.mmu.reset()
-	m.mapGen++
 	m.halted = false
 	m.waiting = false
 	m.trapCode = 0
@@ -106,7 +97,6 @@ func (m *Machine) ClearRAM() {
 		}
 		return
 	}
-	m.flushTC()
 	for i := range m.ram {
 		m.ram[i] = 0
 	}
@@ -195,6 +185,17 @@ func (m *Machine) Cycles() uint64 { return m.cycles }
 // RAMWords returns the installed RAM size in words.
 func (m *Machine) RAMWords() int { return m.ramWords }
 
+// TCStats and TranslationStats are what remains of the removed basic-block
+// translation cache: TranslationStats always returns the zero value. They
+// are kept for bench/, which compiles against them; drop them together with
+// their uses there.
+type TCStats struct {
+	Hits, Misses, Invalidations, Fallbacks uint64
+}
+
+// TranslationStats returns the zero TCStats (see TCStats).
+func (m *Machine) TranslationStats() TCStats { return TCStats{} }
+
 // MMU register access for supervisors.
 
 // SegBase returns user segment i's physical base register.
@@ -207,7 +208,6 @@ func (m *Machine) SegCtl(i int) Word { return m.mmu.Ctl[i&15] }
 func (m *Machine) SetSeg(i int, base, ctl Word) {
 	m.mmu.Base[i&15] = base
 	m.mmu.Ctl[i&15] = ctl
-	m.mapGen++
 }
 
 // MMUAbort returns the latched abort reason and virtual address.
@@ -237,7 +237,6 @@ func (m *Machine) LoadImage(org Word, words []Word) error {
 		}
 		return nil
 	}
-	m.flushTC()
 	copy(m.ram[org:], words)
 	return nil
 }
@@ -299,11 +298,9 @@ func (m *Machine) ioWrite(a Word, v Word) bool {
 	switch {
 	case a >= IOSegBase && a < IOSegBase+NumSegments:
 		m.mmu.Base[a-IOSegBase] = v
-		m.mapGen++
 		return true
 	case a >= IOSegCtl && a < IOSegCtl+NumSegments:
 		m.mmu.Ctl[a-IOSegCtl] = v
-		m.mapGen++
 		return true
 	case a == IOMMUStat:
 		m.mmu.AbortReason = v
@@ -498,46 +495,6 @@ func (m *Machine) stepCPU() {
 	if m.tracer != nil {
 		m.traceCurrent()
 	}
-	if t := m.tc; t != nil {
-		// Translation-cache cursor fast path, inlined here because the
-		// call boundary itself is measurable at this frequency: the
-		// expected straight-line successor, validated by one fused
-		// PC+mode compare plus the mapping generation (translate.go).
-		if b := t.cur; b != nil {
-			key := cursorKey(m.regs[RegPC], m.psw)
-			if key == t.curKey && t.curMapGen == m.mapGen {
-				t.stats.Hits++
-				idx := t.curIdx
-				u := &b.ops[idx]
-				switch u.kind {
-				case tkRegReg2:
-					m.regs[RegPC]++
-					m.aluToReg(u.op, m.regs[u.srcReg], int(u.dstReg))
-				case tkImmReg2:
-					m.regs[RegPC] += 2
-					m.aluToReg(u.op, u.srcExt, int(u.dstReg))
-				default:
-					m.execMicro(t, b, idx, t.curBase)
-					return
-				}
-				if idx+1 < len(b.ops) {
-					t.curIdx = idx + 1
-					t.curKey = key + uint32(u.length)
-				} else {
-					t.cur = nil
-				}
-				return
-			}
-		}
-		if m.stepTranslated(t) {
-			return
-		}
-	} else if !m.noTranslate {
-		m.tc = newTCache(m.ramWords)
-		if m.stepTranslated(m.tc) {
-			return
-		}
-	}
 	m.execInstr()
 }
 
@@ -557,25 +514,10 @@ func (m *Machine) Step() {
 // number of steps taken.
 func (m *Machine) Run(maxSteps int) int {
 	n := 0
-	if len(m.devices) == 0 {
-		// With no devices there is nothing to tick and no interrupt to
-		// dispatch between instructions, so consecutive fast-kind micro-ops
-		// can retire in one batched inner loop (runFast) whenever the
-		// translation cursor is hot and no per-instruction tracing is due.
-		for !m.halted && n < maxSteps {
-			if t := m.tc; t != nil && t.cur != nil && !m.waiting && m.tracer == nil {
-				if k := m.runFast(t, maxSteps-n); k > 0 {
-					n += k
-					continue
-				}
-			}
-			m.stepCPU()
-			n++
-		}
-		return n
-	}
 	for !m.halted && n < maxSteps {
-		m.TickDevices()
+		if len(m.devices) > 0 {
+			m.TickDevices()
+		}
 		m.stepCPU()
 		n++
 	}
@@ -869,14 +811,6 @@ func (m *Machine) execTwoOp(op, w Word) {
 	if !ok {
 		return
 	}
-	m.finishTwoOp(op, src, dst)
-}
-
-// finishTwoOp completes a two-operand instruction once both operands are
-// resolved. It is shared verbatim between the interpreter (execTwoOp) and
-// the translation cache (execMicro), so the ALU and condition-code
-// semantics of the two dispatch paths cannot drift apart.
-func (m *Machine) finishTwoOp(op, src Word, dst operand) {
 	if op == OpMOV {
 		if m.writeOperand(dst, src) {
 			m.setCC(ccNZ(src) | m.psw&FlagC)

@@ -137,11 +137,11 @@ func ProbeFor(l kernel.Leaks) string {
 }
 
 // SpecFor describes the standard verification system built with the given
-// leak name (empty = honest), channel cut and translation choice, as the
-// witness subsystem records it.
-func SpecFor(leakName string, cut, noTranslate bool) witness.SystemSpec {
-	return witness.SystemSpec{Kind: "verifysys", Leak: leakName, Cut: cut,
-		NoTranslate: noTranslate}
+// leak name (empty = honest) and channel cut, as the witness subsystem
+// records it. The third parameter is ignored: it is kept for bench/, which
+// compiles against this signature; drop it together with its uses there.
+func SpecFor(leakName string, cut, _ bool) witness.SystemSpec {
+	return witness.SystemSpec{Kind: "verifysys", Leak: leakName, Cut: cut}
 }
 
 // FromSpec rebuilds the system a witness was captured from. Only the
@@ -159,14 +159,7 @@ func FromSpec(spec witness.SystemSpec) (*kernel.Adapter, error) {
 		}
 		leaks = l
 	}
-	sys, err := Build(ProbeFor(leaks), leaks, spec.Cut)
-	if err != nil {
-		return nil, err
-	}
-	if spec.NoTranslate {
-		sys.K.Machine().SetTranslation(false)
-	}
-	return sys, nil
+	return Build(ProbeFor(leaks), leaks, spec.Cut)
 }
 
 // Build boots the standard verification system with the given probe

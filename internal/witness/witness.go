@@ -43,10 +43,9 @@ type Step struct {
 // verification configuration); Leak is the planted-leak name, empty for the
 // honest kernel.
 type SystemSpec struct {
-	Kind        string `json:"kind"`
-	Leak        string `json:"leak,omitempty"`
-	Cut         bool   `json:"cut"`
-	NoTranslate bool   `json:"noTranslate,omitempty"`
+	Kind string `json:"kind"`
+	Leak string `json:"leak,omitempty"`
+	Cut  bool   `json:"cut"`
 }
 
 // Witness is one replayable counterexample. All fields are stable JSON —

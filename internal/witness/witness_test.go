@@ -149,38 +149,6 @@ func TestCaptureWorkerCountInvariant(t *testing.T) {
 	}
 }
 
-// Host-state independence: a witness captured with the translation cache
-// enabled must replay identically on a system running without it — the
-// cache is a host-side accelerator, invisible to the architectural walk.
-func TestReplayWithTranslationDisabled(t *testing.T) {
-	spec := verifysys.SpecFor("SharedScratch", true, false)
-	sys := buildSpec(t, spec)
-	opt := leakOpt(false)
-	res := separability.CheckRandomized(sys, opt)
-	if res.Passed() {
-		t.Fatal("leak not caught")
-	}
-	dir := t.TempDir()
-	if _, err := witness.Capture(sys, opt, res, witness.Options{Dir: dir, System: spec}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := witness.Load(dir)
-	if err != nil || len(loaded) == 0 {
-		t.Fatalf("load: %d witnesses, err=%v", len(loaded), err)
-	}
-	for _, w := range loaded {
-		if err := w.LoadState(dir); err != nil {
-			t.Fatal(err)
-		}
-		nt := w.System
-		nt.NoTranslate = true
-		fresh := buildSpec(t, nt)
-		if _, err := witness.Replay(fresh, w); err != nil {
-			t.Errorf("witness %s does not replay with translation off: %v", w.ID, err)
-		}
-	}
-}
-
 // The differential the acceptance criteria demand: capture is cold-side
 // only. Running Capture must not change what a subsequent identical check
 // reports, and the captured-from Result is never mutated.
