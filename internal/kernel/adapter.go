@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,6 +57,9 @@ type Adapter struct {
 	// phi caches per-regime Φ digests during delta checkpoints; built
 	// lazily on first Checkpoint (see phicache.go).
 	phi *phiCache
+	// phiBuf is the scratch buffer Φ^c is rendered into (see renderPhi).
+	// NewAdapter leaves it nil, so a clone never shares its original's.
+	phiBuf []byte
 }
 
 // KernelColour is returned by Colour for states where the next operation
@@ -139,15 +141,18 @@ func (a *Adapter) NextOp() model.OpID {
 	}
 	if machine.IsUser(k.m.PSW()) {
 		cur := k.current()
+		b := make([]byte, 0, 48)
 		if j := k.deliverablePending(); j >= 0 {
-			return model.OpID(fmt.Sprintf("deliver-irq:%s:%d", k.cfg.Regimes[cur].Name, j))
+			b = append(append(append(b, "deliver-irq:"...), k.cfg.Regimes[cur].Name...), ':')
+			return model.OpID(strconv.AppendInt(b, int64(j), 10))
 		}
 		pc := k.m.PC()
-		instr, ok := k.regimeRead(cur, pc)
-		if !ok {
-			return model.OpID(fmt.Sprintf("user:%s@%04x:unfetchable", k.cfg.Regimes[cur].Name, pc))
+		b = append(append(append(b, "user:"...), k.cfg.Regimes[cur].Name...), '@')
+		b = append(hexWord(b, pc), ':')
+		if instr, ok := k.regimeRead(cur, pc); ok {
+			return model.OpID(hexWord(b, instr))
 		}
-		return model.OpID(fmt.Sprintf("user:%s@%04x:%04x", k.cfg.Regimes[cur].Name, pc, instr))
+		return model.OpID(append(b, "unfetchable"...))
 	}
 	return "kernel:idle"
 }
@@ -185,37 +190,28 @@ func (a *Adapter) CurrentOutput() model.Output {
 	return ov
 }
 
-// phiSink is the common subset of strings.Builder and model.Digest64 that
-// the Φ renderer writes through: feeding the identical byte stream to
-// either guarantees AbstractDigest is exactly the FNV-1a hash of the
-// string Abstract returns.
-type phiSink interface {
-	io.Writer
-	WriteString(s string) (int, error)
-	WriteByte(b byte) error
+// hexWord appends w as four lower-case hex digits (fmt's %04x). Φ^c is
+// mostly partition words, so this is the hot path of randomized checking.
+func hexWord(dst []byte, w Word) []byte {
+	const digits = "0123456789abcdef"
+	return append(dst, digits[w>>12&0xF], digits[w>>8&0xF], digits[w>>4&0xF], digits[w&0xF])
 }
 
-// hexWord appends a word as four hex digits without fmt overhead (Abstract
-// is the hot path of randomized checking).
-func hexWord(b phiSink, w Word) {
-	const digits = "0123456789abcdef"
-	b.WriteByte(digits[w>>12&0xF])
-	b.WriteByte(digits[w>>8&0xF])
-	b.WriteByte(digits[w>>4&0xF])
-	b.WriteByte(digits[w&0xF])
+// appendHex appends w in lower-case hex without padding (fmt's %x).
+func appendHex(dst []byte, w Word) []byte { return strconv.AppendUint(dst, uint64(w), 16) }
+
+// appendField appends "name=" followed by w rendered by enc, then ';'.
+func appendField(dst []byte, name string, w Word, enc func([]byte, Word) []byte) []byte {
+	dst = append(append(dst, name...), '=')
+	return append(enc(dst, w), ';')
 }
 
 // Abstract implements model.SharedSystem: Φ^c as a canonical string.
-func (a *Adapter) Abstract(c model.Colour) string {
-	var b strings.Builder
-	a.renderPhi(c, &b)
-	return b.String()
-}
+func (a *Adapter) Abstract(c model.Colour) string { return string(a.renderPhi(c)) }
 
 // AbstractDigest implements model.Digester: the FNV-1a 64-bit digest of
-// the canonical Φ^c encoding, streamed without materializing the string.
-// This is the comparison the checkers' hot paths use; both views render
-// through the same code path, so they hash the same bytes by construction.
+// the canonical Φ^c encoding. This is the comparison the checkers' hot
+// paths use; it hashes the very bytes Abstract copies into its string.
 // During a delta checkpoint the digest is served from the per-regime cache
 // when provably fresh (see phicache.go); the full rendering stays the
 // oracle, so the returned value is identical either way.
@@ -223,51 +219,54 @@ func (a *Adapter) AbstractDigest(c model.Colour) uint64 {
 	if dig, ok := a.cachedDigest(c); ok {
 		return dig
 	}
-	d := model.NewDigest64()
-	a.renderPhi(c, d)
-	dig := d.Sum64()
+	dig := model.DigestBytes(a.renderPhi(c))
 	a.storeDigest(c, dig)
 	return dig
 }
 
-// renderPhi writes the canonical Φ^c encoding of the current state into b.
-func (a *Adapter) renderPhi(c model.Colour, b phiSink) {
+// renderPhi renders Φ^c into the adapter's scratch buffer, which stays
+// valid until the next rendering. Every adapter, clones included, owns its
+// own buffer.
+func (a *Adapter) renderPhi(c model.Colour) []byte {
+	a.phiBuf = a.appendPhi(a.phiBuf[:0], c)
+	return a.phiBuf
+}
+
+// appendPhi appends the canonical Φ^c encoding of the current state to dst.
+func (a *Adapter) appendPhi(dst []byte, c model.Colour) []byte {
 	k := a.K
 	i := k.RegimeIndex(string(c))
 	if i < 0 {
-		return
+		return dst
 	}
 	r := k.cfg.Regimes[i]
 
 	// Register file and control state, as the regime would observe it.
 	for reg := 0; reg < 6; reg++ {
-		fmt.Fprintf(b, "r%d=%04x;", reg, k.RegimeReg(i, reg))
+		dst = append(hexWord(append(dst, 'r', byte('0'+reg), '='), k.RegimeReg(i, reg)), ';')
 	}
-	fmt.Fprintf(b, "sp=%04x;pc=%04x;cc=%x;", k.RegimeReg(i, machine.RegSP),
-		k.RegimeReg(i, machine.RegPC), k.RegimePSW(i))
+	dst = appendField(dst, "sp", k.RegimeReg(i, machine.RegSP), hexWord)
+	dst = appendField(dst, "pc", k.RegimeReg(i, machine.RegPC), hexWord)
+	dst = appendField(dst, "cc", k.RegimePSW(i), appendHex)
 	sb := saveBase(i)
-	fmt.Fprintf(b, "st=%x;pend=%04x;ipl=%x;", k.m.ReadPhys(sb+saveState),
-		k.m.ReadPhys(sb+savePending), k.m.ReadPhys(sb+saveIPL))
+	dst = appendField(dst, "st", k.m.ReadPhys(sb+saveState), appendHex)
+	dst = appendField(dst, "pend", k.m.ReadPhys(sb+savePending), hexWord)
+	dst = appendField(dst, "ipl", k.m.ReadPhys(sb+saveIPL), appendHex)
 
 	// The partition, word by word.
-	if builder, ok := b.(*strings.Builder); ok {
-		builder.Grow(int(r.Size)*4 + 64)
+	dst = append(dst, "mem="...)
+	for _, w := range k.m.RAMSlice(r.Base, r.Size) {
+		dst = hexWord(dst, w)
 	}
-	b.WriteString("mem=")
-	for off := Word(0); off < r.Size; off++ {
-		hexWord(b, k.m.ReadPhys(r.Base+off))
-	}
-	b.WriteByte(';')
+	dst = append(dst, ';')
 
 	// Owned devices.
 	for _, d := range r.Devices {
-		b.WriteString("dev:")
-		b.WriteString(d.Name())
-		b.WriteByte('=')
+		dst = append(append(append(dst, "dev:"...), d.Name()...), '=')
 		for _, w := range d.SnapshotState() {
-			hexWord(b, w)
+			dst = hexWord(dst, w)
 		}
-		b.WriteByte(';')
+		dst = append(dst, ';')
 	}
 
 	// Channel views: what this regime could learn via SEND/RECV/POLL.
@@ -277,27 +276,24 @@ func (a *Adapter) renderPhi(c model.Colour, b phiSink) {
 		switch string(c) {
 		case ch.From:
 			// The sender observes only the free space.
-			fmt.Fprintf(b, "ch:%s:free=%d;", ch.Name, capa-k.m.ReadPhys(base+2))
+			dst = append(append(append(dst, "ch:"...), ch.Name...), ":free="...)
+			dst = append(strconv.AppendUint(dst, uint64(capa-k.m.ReadPhys(base+2)), 10), ';')
 		case ch.To:
+			// The receiver observes the queued words: buffer B (after
+			// buffer A) in the cut system, the one shared buffer otherwise.
+			cnt, head, buf := k.m.ReadPhys(base+2), k.m.ReadPhys(base+0), base+8
 			if k.cfg.CutChannels {
-				cnt := k.m.ReadPhys(base + 6)
-				head := k.m.ReadPhys(base + 4)
-				fmt.Fprintf(b, "ch:%s:rd=%d:", ch.Name, cnt)
-				for j := Word(0); j < cnt; j++ {
-					hexWord(b, k.m.ReadPhys(base+8+capa+(head+j)%capa))
-				}
-				b.WriteByte(';')
-			} else {
-				cnt := k.m.ReadPhys(base + 2)
-				head := k.m.ReadPhys(base + 0)
-				fmt.Fprintf(b, "ch:%s:rd=%d:", ch.Name, cnt)
-				for j := Word(0); j < cnt; j++ {
-					hexWord(b, k.m.ReadPhys(base+8+(head+j)%capa))
-				}
-				b.WriteByte(';')
+				cnt, head, buf = k.m.ReadPhys(base+6), k.m.ReadPhys(base+4), base+8+capa
 			}
+			dst = append(append(append(dst, "ch:"...), ch.Name...), ":rd="...)
+			dst = append(strconv.AppendUint(dst, uint64(cnt), 10), ':')
+			for j := Word(0); j < cnt; j++ {
+				dst = hexWord(dst, k.m.ReadPhys(buf+(head+j)%capa))
+			}
+			dst = append(dst, ';')
 		}
 	}
+	return dst
 }
 
 // ClassifyOp implements model.OpClassifier: collapse OpIDs (which embed
@@ -329,44 +325,33 @@ func (a *Adapter) ExtractInput(c model.Colour, i model.Input) string {
 	if i == nil {
 		return ""
 	}
-	iv := i.(InputVec)
-	var names []string
-	for name := range iv {
-		if a.owner[name] == c {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	var b strings.Builder
-	for _, name := range names {
-		fmt.Fprintf(&b, "%s=", name)
-		for _, w := range iv[name] {
-			fmt.Fprintf(&b, "%04x", w)
-		}
-		b.WriteByte(';')
-	}
-	return b.String()
+	return a.extract(c, i.(InputVec))
 }
 
 // ExtractOutput implements model.SharedSystem.
 func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
-	ov := o.(OutputVec)
+	return a.extract(c, o.(OutputVec))
+}
+
+// extract renders the entries of a device vector that colour c owns as
+// "name=words;" in name order, each word as four hex digits.
+func (a *Adapter) extract(c model.Colour, vec map[string][]Word) string {
 	var names []string
-	for name := range ov {
+	for name := range vec {
 		if a.owner[name] == c {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	var b strings.Builder
+	var b []byte
 	for _, name := range names {
-		fmt.Fprintf(&b, "%s=", name)
-		for _, w := range ov[name] {
-			fmt.Fprintf(&b, "%04x", w)
+		b = append(append(b, name...), '=')
+		for _, w := range vec[name] {
+			b = hexWord(b, w)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	return b.String()
+	return string(b)
 }
 
 // Clone implements model.Replicable: it builds a fresh machine carrying

@@ -221,6 +221,14 @@ func (m *Machine) ReadPhys(a Word) Word {
 	return v
 }
 
+// RAMSlice returns RAM words [base, base+n) as a slice aliasing machine
+// memory, for read-only bulk access (Φ rendering). Callers must not write
+// through it: writes would bypass the delta write barrier. It panics when
+// the range extends past RAM.
+func (m *Machine) RAMSlice(base, n Word) []Word {
+	return m.ram[base : int(base)+int(n) : int(base)+int(n)]
+}
+
 // WritePhys writes physical address a without translation.
 func (m *Machine) WritePhys(a Word, v Word) {
 	m.physWrite(a, v)

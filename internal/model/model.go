@@ -114,7 +114,7 @@ type Replicable interface {
 // Digester is optionally implemented by systems that can compute a 64-bit
 // digest of Φ^c(s) without materializing the canonical string. The digest
 // MUST be the FNV-1a hash of exactly the bytes Abstract(c) would produce
-// (use Digest64 to stream them), so that digest equality coincides with
+// (DigestString or DigestBytes), so that digest equality coincides with
 // string equality up to hash collisions. The checkers compare digests on
 // their hot paths and re-derive full strings only when a violation needs a
 // human-readable counterexample.
@@ -123,7 +123,7 @@ type Digester interface {
 }
 
 // FNV-1a 64-bit parameters (FNV is the digest of record for Φ comparison:
-// fast, allocation-free, and trivially streamable).
+// fast and allocation-free).
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
@@ -139,6 +139,16 @@ func DigestString(s string) uint64 {
 	return h
 }
 
+// DigestBytes returns the FNV-1a 64-bit digest of b: DigestString without
+// the string, for encoders that render into a reusable buffer.
+func DigestBytes(b []byte) uint64 {
+	h := fnvOffset64
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime64
+	}
+	return h
+}
+
 // AbstractDigest computes the digest of Φ^c for sys's current state: via
 // the system's own Digester implementation when present, else by hashing
 // the canonical Abstract encoding.
@@ -148,46 +158,6 @@ func AbstractDigest(sys SharedSystem, c Colour) uint64 {
 	}
 	return DigestString(sys.Abstract(c))
 }
-
-// Digest64 is a streaming FNV-1a 64-bit hasher. It implements io.Writer,
-// io.StringWriter and io.ByteWriter with the same signatures as
-// strings.Builder, so code that renders a canonical Φ encoding can be
-// written once against the common subset and fed either a builder (for the
-// string) or a Digest64 (for the digest), guaranteeing both views hash the
-// same bytes.
-type Digest64 struct{ h uint64 }
-
-// NewDigest64 returns a digest in its initial (offset-basis) state.
-func NewDigest64() *Digest64 { return &Digest64{h: fnvOffset64} }
-
-// Write implements io.Writer; it never fails.
-func (d *Digest64) Write(p []byte) (int, error) {
-	h := d.h
-	for _, b := range p {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	d.h = h
-	return len(p), nil
-}
-
-// WriteString implements io.StringWriter; it never fails.
-func (d *Digest64) WriteString(s string) (int, error) {
-	h := d.h
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime64
-	}
-	d.h = h
-	return len(s), nil
-}
-
-// WriteByte implements io.ByteWriter; it never fails.
-func (d *Digest64) WriteByte(b byte) error {
-	d.h = (d.h ^ uint64(b)) * fnvPrime64
-	return nil
-}
-
-// Sum64 returns the digest of everything written so far.
-func (d *Digest64) Sum64() uint64 { return d.h }
 
 // Checkpoint is an opaque handle to a delta checkpoint taken by a
 // Checkpointer.

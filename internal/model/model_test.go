@@ -58,3 +58,18 @@ func TestAbstractEncodingsDifferPerColour(t *testing.T) {
 		t.Error("distinct colours share an abstraction")
 	}
 }
+
+// DigestBytes is DigestString over a byte slice, for every length and for
+// every byte value.
+func TestDigestBytesMatchesDigestString(t *testing.T) {
+	var b []byte
+	for i := 0; i < 1024; i++ {
+		if got, want := model.DigestBytes(b), model.DigestString(string(b)); got != want {
+			t.Fatalf("len %d: DigestBytes %016x, DigestString %016x", len(b), got, want)
+		}
+		b = append(b, byte(i*167))
+	}
+	if model.DigestBytes(nil) != model.DigestString("") {
+		t.Fatal("empty input: digests differ")
+	}
+}

@@ -142,6 +142,22 @@ func BenchmarkMicroAbstract(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroDigestMiss is AbstractDigest with no checkpoint active, so
+// the digest cache never serves it: render Φ^c and hash it, every call.
+func BenchmarkMicroDigestMiss(b *testing.B) {
+	sys, err := verifysys.Build(verifysys.ProbePlain, kernel.Leaks{}, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys.K.Run(500)
+	colours := sys.Colours()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = sys.AbstractDigest(colours[i%len(colours)])
+	}
+}
+
 func BenchmarkMicroPerturb(b *testing.B) {
 	sys, err := verifysys.Build(verifysys.ProbePlain, kernel.Leaks{}, true)
 	if err != nil {
