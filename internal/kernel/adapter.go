@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"repro/internal/machine"
 	"repro/internal/model"
@@ -57,9 +58,10 @@ type Adapter struct {
 	// phi caches per-regime Φ digests during delta checkpoints; built
 	// lazily on first Checkpoint (see phicache.go).
 	phi *phiCache
-	// phiBuf is the scratch buffer Φ^c is rendered into (see renderPhi).
-	// NewAdapter leaves it nil, so a clone never shares its original's.
-	phiBuf []byte
+	// phiWords is the scratch vector Φ^c is gathered into (see
+	// gatherPhi). NewAdapter leaves it nil, so a clone never shares its
+	// original's.
+	phiWords []Word
 }
 
 // KernelColour is returned by Colour for states where the next operation
@@ -206,78 +208,65 @@ func appendField(dst []byte, name string, w Word, enc func([]byte, Word) []byte)
 	return append(enc(dst, w), ';')
 }
 
-// Abstract implements model.SharedSystem: Φ^c as a canonical string.
-func (a *Adapter) Abstract(c model.Colour) string { return string(a.renderPhi(c)) }
+// Abstract implements model.SharedSystem: Φ^c as a canonical string,
+// rendered from the same gathered vector AbstractDigest fingerprints.
+func (a *Adapter) Abstract(c model.Colour) string {
+	a.phiWords = a.gatherPhi(a.phiWords[:0], c)
+	// Four hex digits per word, plus room for the field names.
+	b := a.appendPhi(make([]byte, 0, 4*len(a.phiWords)+128), c, a.phiWords)
+	// b is fresh and never written again, so the string may share it (the
+	// strings.Builder idiom) instead of copying it.
+	return unsafe.String(unsafe.SliceData(b), len(b))
+}
 
-// AbstractDigest implements model.Digester: the FNV-1a 64-bit digest of
-// the canonical Φ^c encoding. This is the comparison the checkers' hot
-// paths use; it hashes the very bytes Abstract copies into its string.
-// During a delta checkpoint the digest is served from the per-regime cache
-// when provably fresh (see phicache.go); the full rendering stays the
-// oracle, so the returned value is identical either way.
+// AbstractDigest implements model.Digester: the fingerprint of the values
+// Φ^c is rendered from, so two digests of one colour are equal exactly when
+// the Abstract strings are (up to 64-bit collisions). During a delta
+// checkpoint the value is served from the per-regime cache when provably
+// fresh (see phicache.go); either way it is what a fresh gather would
+// fingerprint.
 func (a *Adapter) AbstractDigest(c model.Colour) uint64 {
 	if dig, ok := a.cachedDigest(c); ok {
 		return dig
 	}
-	dig := model.DigestBytes(a.renderPhi(c))
+	a.phiWords = a.gatherPhi(a.phiWords[:0], c)
+	dig := fingerprint(a.phiWords)
 	a.storeDigest(c, dig)
 	return dig
 }
 
-// renderPhi renders Φ^c into the adapter's scratch buffer, which stays
-// valid until the next rendering. Every adapter, clones included, owns its
-// own buffer.
-func (a *Adapter) renderPhi(c model.Colour) []byte {
-	a.phiBuf = a.appendPhi(a.phiBuf[:0], c)
-	return a.phiBuf
-}
-
-// appendPhi appends the canonical Φ^c encoding of the current state to dst.
-func (a *Adapter) appendPhi(dst []byte, c model.Colour) []byte {
+// gatherPhi appends to dst the values Φ^c is rendered from, in rendering
+// order: r0..r5, sp, pc, cc, st, pend and ipl as the regime would observe
+// them; the partition; each owned device's state after a two-word length
+// (low half, high half); and per channel the derived values the regime can
+// observe, the free space when it sends and the queued count followed by
+// the queued words when it receives. appendPhi is the only reader of the
+// layout.
+func (a *Adapter) gatherPhi(dst []Word, c model.Colour) []Word {
 	k := a.K
 	i := k.RegimeIndex(string(c))
 	if i < 0 {
 		return dst
 	}
 	r := k.cfg.Regimes[i]
-
-	// Register file and control state, as the regime would observe it.
-	for reg := 0; reg < 6; reg++ {
-		dst = append(hexWord(append(dst, 'r', byte('0'+reg), '='), k.RegimeReg(i, reg)), ';')
+	for reg := 0; reg < 8; reg++ { // r0..r5, then machine.RegSP and RegPC
+		dst = append(dst, k.RegimeReg(i, reg))
 	}
-	dst = appendField(dst, "sp", k.RegimeReg(i, machine.RegSP), hexWord)
-	dst = appendField(dst, "pc", k.RegimeReg(i, machine.RegPC), hexWord)
-	dst = appendField(dst, "cc", k.RegimePSW(i), appendHex)
 	sb := saveBase(i)
-	dst = appendField(dst, "st", k.m.ReadPhys(sb+saveState), appendHex)
-	dst = appendField(dst, "pend", k.m.ReadPhys(sb+savePending), hexWord)
-	dst = appendField(dst, "ipl", k.m.ReadPhys(sb+saveIPL), appendHex)
-
-	// The partition, word by word.
-	dst = append(dst, "mem="...)
-	for _, w := range k.m.RAMSlice(r.Base, r.Size) {
-		dst = hexWord(dst, w)
-	}
-	dst = append(dst, ';')
-
-	// Owned devices.
+	dst = append(dst, k.RegimePSW(i), k.m.ReadPhys(sb+saveState),
+		k.m.ReadPhys(sb+savePending), k.m.ReadPhys(sb+saveIPL))
+	dst = append(dst, k.m.RAMSlice(r.Base, r.Size)...)
 	for _, d := range r.Devices {
-		dst = append(append(append(dst, "dev:"...), d.Name()...), '=')
-		for _, w := range d.SnapshotState() {
-			dst = hexWord(dst, w)
-		}
-		dst = append(dst, ';')
+		st := d.SnapshotState()
+		dst = append(append(dst, Word(len(st)), Word(len(st)>>16)), st...)
 	}
-
-	// Channel views: what this regime could learn via SEND/RECV/POLL.
 	for ci, ch := range k.cfg.Channels {
 		base := k.chanBase(ci)
 		capa := k.m.ReadPhys(base + 3)
 		switch string(c) {
 		case ch.From:
 			// The sender observes only the free space.
-			dst = append(append(append(dst, "ch:"...), ch.Name...), ":free="...)
-			dst = append(strconv.AppendUint(dst, uint64(capa-k.m.ReadPhys(base+2)), 10), ';')
+			dst = append(dst, capa-k.m.ReadPhys(base+2))
 		case ch.To:
 			// The receiver observes the queued words: buffer B (after
 			// buffer A) in the cut system, the one shared buffer otherwise.
@@ -285,12 +274,72 @@ func (a *Adapter) appendPhi(dst []byte, c model.Colour) []byte {
 			if k.cfg.CutChannels {
 				cnt, head, buf = k.m.ReadPhys(base+6), k.m.ReadPhys(base+4), base+8+capa
 			}
+			dst = append(dst, cnt)
+			for j := Word(0); j < cnt; j++ {
+				dst = append(dst, k.m.ReadPhys(buf+(head+j)%capa))
+			}
+		}
+	}
+	return dst
+}
+
+// appendPhi appends the canonical Φ^c encoding of ws, a vector gatherPhi
+// built for colour c, to dst.
+func (a *Adapter) appendPhi(dst []byte, c model.Colour, ws []Word) []byte {
+	k := a.K
+	i := k.RegimeIndex(string(c))
+	if i < 0 {
+		return dst
+	}
+	r := k.cfg.Regimes[i]
+
+	// Register file and control state.
+	for reg := 0; reg < 6; reg++ {
+		dst = append(hexWord(append(dst, 'r', byte('0'+reg), '='), ws[reg]), ';')
+	}
+	dst = appendField(dst, "sp", ws[6], hexWord)
+	dst = appendField(dst, "pc", ws[7], hexWord)
+	dst = appendField(dst, "cc", ws[8], appendHex)
+	dst = appendField(dst, "st", ws[9], appendHex)
+	dst = appendField(dst, "pend", ws[10], hexWord)
+	dst = appendField(dst, "ipl", ws[11], appendHex)
+	ws = ws[12:]
+
+	// The partition, word by word.
+	dst = append(dst, "mem="...)
+	for _, w := range ws[:r.Size] {
+		dst = hexWord(dst, w)
+	}
+	dst = append(dst, ';')
+	ws = ws[r.Size:]
+
+	// Owned devices.
+	for _, d := range r.Devices {
+		n := int(ws[0]) | int(ws[1])<<16
+		dst = append(append(append(dst, "dev:"...), d.Name()...), '=')
+		for _, w := range ws[2 : 2+n] {
+			dst = hexWord(dst, w)
+		}
+		dst = append(dst, ';')
+		ws = ws[2+n:]
+	}
+
+	// Channel views: what this regime could learn via SEND/RECV/POLL.
+	for _, ch := range k.cfg.Channels {
+		switch string(c) {
+		case ch.From:
+			dst = append(append(append(dst, "ch:"...), ch.Name...), ":free="...)
+			dst = append(strconv.AppendUint(dst, uint64(ws[0]), 10), ';')
+			ws = ws[1:]
+		case ch.To:
+			cnt := int(ws[0])
 			dst = append(append(append(dst, "ch:"...), ch.Name...), ":rd="...)
 			dst = append(strconv.AppendUint(dst, uint64(cnt), 10), ':')
-			for j := Word(0); j < cnt; j++ {
-				dst = hexWord(dst, k.m.ReadPhys(buf+(head+j)%capa))
+			for _, w := range ws[1 : 1+cnt] {
+				dst = hexWord(dst, w)
 			}
 			dst = append(dst, ';')
+			ws = ws[1+cnt:]
 		}
 	}
 	return dst

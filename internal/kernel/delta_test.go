@@ -23,9 +23,9 @@ func mutateAdapter(a *kernel.Adapter, rng *rand.Rand) {
 	}
 }
 
-// abstractAll renders the full per-colour Φ table; it goes through
-// renderPhi, never the digest cache, so it is the ground truth the cached
-// digests must agree with.
+// abstractAll renders the full per-colour Φ table; it never goes through
+// the digest cache, so it is the ground truth the cached digests must
+// agree with.
 func abstractAll(a *kernel.Adapter) map[model.Colour]string {
 	out := map[model.Colour]string{}
 	for _, c := range a.Colours() {
@@ -74,22 +74,26 @@ func TestCheckpointRollbackMatchesRestore(t *testing.T) {
 }
 
 // TestIncrementalDigestMatchesOracle pins the digest cache against its
-// oracle: at every point of a checkpointed random walk, AbstractDigest
+// oracles: at every point of a checkpointed random walk, AbstractDigest
 // (which may serve a cached, incrementally-validated value) must equal the
-// FNV digest of a freshly rendered Φ string.
+// fingerprint of a fresh gather, and pass the equality-partition
+// differential against the freshly rendered Φ strings.
 func TestIncrementalDigestMatchesOracle(t *testing.T) {
 	a := adapterSystem(t)
 	rng := rand.New(rand.NewSource(23))
 	a.Randomize(rng)
 	colours := a.Colours()
+	part := newPhiPartition()
 
 	check := func(step string) {
 		t.Helper()
 		for _, c := range colours {
 			got := a.AbstractDigest(c)
-			want := model.DigestString(a.Abstract(c))
-			if got != want {
-				t.Fatalf("%s: AbstractDigest(%s) = %#x, oracle = %#x", step, c, got, want)
+			if want := a.GatheredDigest(c); got != want {
+				t.Fatalf("%s: AbstractDigest(%s) = %#x, fresh gather = %#x", step, c, got, want)
+			}
+			if err := part.check(c, got, a.Abstract(c)); err != nil {
+				t.Fatalf("%s: %v", step, err)
 			}
 		}
 	}
@@ -116,6 +120,9 @@ func TestIncrementalDigestMatchesOracle(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			mutateAdapter(a, rng)
 		}
+	}
+	if part.repeats == 0 {
+		t.Fatal("no rendering recurred: the equal half of the partition went unchecked")
 	}
 }
 

@@ -40,29 +40,76 @@ var encodingPins = map[string]uint64{
 	"SharedScratch/cut=true":      0xc5c331c0520097b6,
 }
 
+// phiPartition is the equality-partition differential between the
+// adapter's in-memory Φ digests and its canonical renderings: within one
+// colour, two AbstractDigest values must be equal exactly when the two
+// Abstract strings are. repeats counts observations whose rendering had
+// been seen before, so a caller can tell the equal half was exercised.
+type phiPartition struct {
+	byDigest map[phiDigestKey]string
+	byPhi    map[phiStringKey]uint64
+	repeats  int
+}
+
+type phiDigestKey struct {
+	c   model.Colour
+	dig uint64
+}
+
+type phiStringKey struct {
+	c   model.Colour
+	phi string
+}
+
+func newPhiPartition() *phiPartition {
+	return &phiPartition{byDigest: map[phiDigestKey]string{}, byPhi: map[phiStringKey]uint64{}}
+}
+
+// check records that colour c's Φ rendered as phi and digested to dig, and
+// reports a disagreement with any earlier observation.
+func (p *phiPartition) check(c model.Colour, dig uint64, phi string) error {
+	if prev, ok := p.byDigest[phiDigestKey{c, dig}]; ok && prev != phi {
+		return fmt.Errorf("colour %s: digest %016x stands for two renderings (FNV %016x, %016x)",
+			c, dig, model.DigestString(prev), model.DigestString(phi))
+	}
+	if prev, ok := p.byPhi[phiStringKey{c, phi}]; ok {
+		if prev != dig {
+			return fmt.Errorf("colour %s: one rendering (FNV %016x) has digests %016x and %016x",
+				c, model.DigestString(phi), prev, dig)
+		}
+		p.repeats++
+	}
+	p.byDigest[phiDigestKey{c, dig}] = phi
+	p.byPhi[phiStringKey{c, phi}] = dig
+	return nil
+}
+
 // encodingWalk drives a seeded Step/ApplyInput walk over sys and folds
 // every rendered value into one digest. Every tenth state is also recorded
-// perturbed outside a random colour (then restored), the way the checkers
-// build twin states. The walk fails when AbstractDigest
-// disagrees with the digest of the Abstract string, and reports the OpID
-// classes it reached.
+// perturbed outside a random colour, the way the checkers build twin
+// states: inside a delta checkpoint whose pristine digests were taken
+// first, so the twin's digests go through the digest cache, then rolled
+// back. Every AbstractDigest along the walk, twins included, must pass the
+// equality-partition differential against Abstract. The walk reports the
+// OpID classes it reached.
 func encodingWalk(t *testing.T, sys *kernel.Adapter, seed int64, steps int) (uint64, map[string]bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	cols := sys.Colours()
 	var trace strings.Builder
 	classes := map[string]bool{}
+	part := newPhiPartition()
 	record := func(s int, in model.Input) {
 		op := sys.NextOp()
 		classes[sys.ClassifyOp(op)] = true
 		fmt.Fprintf(&trace, "%d op=%s\n", s, op)
 		out := sys.CurrentOutput()
 		for _, c := range cols {
-			phi := model.DigestString(sys.Abstract(c))
-			if dig := sys.AbstractDigest(c); dig != phi {
-				t.Fatalf("step %d colour %s: AbstractDigest %016x != DigestString(Abstract) %016x", s, c, dig, phi)
+			str := sys.Abstract(c)
+			if err := part.check(c, sys.AbstractDigest(c), str); err != nil {
+				t.Fatalf("step %d: %v", s, err)
 			}
-			fmt.Fprintf(&trace, " %s phi=%016x out=%s in=%s\n", c, phi,
+			fmt.Fprintf(&trace, " %s phi=%016x out=%s in=%s\n", c, model.DigestString(str),
 				sys.ExtractOutput(c, out), sys.ExtractInput(c, in))
 		}
 	}
@@ -79,11 +126,17 @@ func encodingWalk(t *testing.T, sys *kernel.Adapter, seed int64, steps int) (uin
 		}
 		record(s, in)
 		if s%10 == 0 {
-			st := sys.Save()
+			cp := sys.Checkpoint()
+			for _, c := range cols {
+				sys.AbstractDigest(c)
+			}
 			sys.PerturbOutside(cols[rng.Intn(len(cols))], rng)
 			record(s, in)
-			sys.Restore(st)
+			sys.Release(cp)
 		}
+	}
+	if part.repeats == 0 {
+		t.Fatal("no rendering recurred along the walk: the equal half of the partition went unchecked")
 	}
 	return model.DigestString(trace.String()), classes
 }
@@ -193,11 +246,13 @@ func TestEncodingSpotValues(t *testing.T) {
 	}
 }
 
-// TestClonesRenderIndependently: every replica renders Φ^c into its own
-// scratch buffer, so a clone and its original may render concurrently; the
-// race detector flags any shared buffer (`make race` runs this package).
-// Each system here has rendered before it is cloned, so a clone that
-// copied its original's buffer would share it.
+// TestClonesRenderIndependently: every replica gathers Φ^c into its own
+// scratch vector, so a clone and its original may digest and render
+// concurrently; the race detector flags any shared vector (`make race`
+// runs this package), and each goroutine's digests must pass the
+// equality-partition differential against its renderings. Each system here
+// has gathered before it is cloned, so a clone that copied its original's
+// vector would share it.
 func TestClonesRenderIndependently(t *testing.T) {
 	build := func() *kernel.Adapter {
 		sys, err := verifysys.FromSpec(verifysys.SpecFor("RegisterLeak", true, false))
@@ -218,11 +273,12 @@ func TestClonesRenderIndependently(t *testing.T) {
 		wg.Add(1)
 		go func(a *kernel.Adapter) {
 			defer wg.Done()
+			part := newPhiPartition()
 			for i := 0; i < 200; i++ {
 				a.Step()
 				for _, c := range a.Colours() {
-					if model.DigestString(a.Abstract(c)) != a.AbstractDigest(c) {
-						errs <- fmt.Sprintf("step %d colour %s: digest disagrees with Abstract", i, c)
+					if err := part.check(c, a.AbstractDigest(c), a.Abstract(c)); err != nil {
+						errs <- fmt.Sprintf("step %d: %v", i, err)
 						return
 					}
 				}

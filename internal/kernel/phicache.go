@@ -5,10 +5,11 @@ import (
 	"repro/internal/model"
 )
 
-// Incremental Φ digests: per-regime digest caching driven by the machine's
-// delta write-barrier, so that during a checkpointed condition sweep most
-// AbstractDigest calls cost O(words written since the checkpoint) instead
-// of re-rendering the regime's whole abstraction.
+// Incremental Φ digests: per-regime caching of AbstractDigest's
+// fingerprint, driven by the machine's delta write-barrier, so that during
+// a checkpointed condition sweep most AbstractDigest calls cost O(words
+// written since the checkpoint) instead of re-gathering and fingerprinting
+// the regime's whole abstraction.
 //
 // The idea: each regime's Φ^c is a pure function of (a) a fixed set of RAM
 // words — its partition, its save area, the channel areas it can see —
@@ -33,10 +34,11 @@ import (
 // construction denote the identical RAM/device state. Validity then only
 // requires scanning the full (first-touch-deduped) journal: any footprint
 // word written since the checkpoint invalidates, which over-approximates
-// staleness but never under-approximates it. The FNV digest of the full
-// rendering (renderPhi) remains the oracle: cache hit or miss, the value
-// returned is always exactly what re-rendering would produce, so proof
-// soundness is untouched — see the differential tests in delta_test.go.
+// staleness but never under-approximates it. The fingerprint of a fresh
+// gather (gatherPhi) remains the oracle: cache hit or miss, the value
+// returned is always exactly what a fresh gather would fingerprint, so
+// proof soundness is untouched — see the differential tests in
+// delta_test.go.
 type phiCache struct {
 	// mask[a] has bit ri set when RAM word a is in regime ri's Φ read set.
 	// Over-marking is safe (spurious recomputes); under-marking is not.

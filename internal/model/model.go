@@ -111,26 +111,33 @@ type Replicable interface {
 	Clone() SharedSystem
 }
 
-// Digester is optionally implemented by systems that can compute a 64-bit
-// digest of Φ^c(s) without materializing the canonical string. The digest
-// MUST be the FNV-1a hash of exactly the bytes Abstract(c) would produce
-// (DigestString or DigestBytes), so that digest equality coincides with
-// string equality up to hash collisions. The checkers compare digests on
-// their hot paths and re-derive full strings only when a violation needs a
-// human-readable counterexample.
+// Digester is optionally implemented by systems that can compare Φ^c(s)
+// without materializing the canonical string. AbstractDigest must be
+// equality-preserving per colour: for one colour, two values are equal
+// exactly when the Abstract(c) strings are, up to 64-bit collisions. It
+// must be fixed and unseeded, a pure function of the rendered state, so
+// verdicts stay identical across workers, shards and runs; it need not be
+// a hash of the string.
+//
+// The randomized checker never persists these values: it compares them on
+// its hot path and reports violations with DigestString of the re-derived
+// strings. The exhaustive checker still stores digests in its Violations
+// and shard files, so an Enumerable must not implement Digester unless the
+// digest is DigestString of Abstract.
 type Digester interface {
 	AbstractDigest(c Colour) uint64
 }
 
-// FNV-1a 64-bit parameters (FNV is the digest of record for Φ comparison:
-// fast and allocation-free).
+// FNV-1a 64-bit parameters (FNV is the digest of record for everything that
+// leaves the process: fast, allocation-free and fixed).
 const (
 	fnvOffset64 uint64 = 14695981039346656037
 	fnvPrime64  uint64 = 1099511628211
 )
 
-// DigestString returns the FNV-1a 64-bit digest of s; it is the reference
-// implementation AbstractDigest must agree with.
+// DigestString returns the FNV-1a 64-bit digest of s: the persisted digest
+// of every encoding (Φ^c renderings, extracts, OpIDs) in Violation.Want and
+// Violation.Got.
 func DigestString(s string) uint64 {
 	h := fnvOffset64
 	for i := 0; i < len(s); i++ {
@@ -139,19 +146,9 @@ func DigestString(s string) uint64 {
 	return h
 }
 
-// DigestBytes returns the FNV-1a 64-bit digest of b: DigestString without
-// the string, for encoders that render into a reusable buffer.
-func DigestBytes(b []byte) uint64 {
-	h := fnvOffset64
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return h
-}
-
-// AbstractDigest computes the digest of Φ^c for sys's current state: via
-// the system's own Digester implementation when present, else by hashing
-// the canonical Abstract encoding.
+// AbstractDigest computes the in-memory comparison digest of Φ^c for sys's
+// current state: via the system's own Digester implementation when
+// present, else DigestString of the canonical Abstract encoding.
 func AbstractDigest(sys SharedSystem, c Colour) uint64 {
 	if d, ok := sys.(Digester); ok {
 		return d.AbstractDigest(c)

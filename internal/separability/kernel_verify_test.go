@@ -132,14 +132,45 @@ func TestSchedulerSnoopInvisibleToSixConditions(t *testing.T) {
 	}
 }
 
-// The kernel adapter's native AbstractDigest must be exactly the FNV-1a
-// hash of the canonical Abstract string, on randomly sampled reachable
-// states (the adapter state space cannot be enumerated, so this samples
-// the same distribution the randomized checker visits).
+// The kernel adapter's native AbstractDigest is an in-memory fingerprint,
+// not a hash of the Abstract string, so it is checked as an
+// equality-partition differential: within one colour, two digests must be
+// equal exactly when the renderings are. The states are randomly sampled
+// reachable ones (the adapter state space cannot be enumerated, so this
+// samples the distribution the randomized checker visits), each with a
+// twin perturbed outside a random colour, which must keep that colour's
+// rendering and so its digest.
 func TestAdapterDigestMatchesAbstract(t *testing.T) {
+	type digestKey struct {
+		c   model.Colour
+		dig uint64
+	}
+	type phiKey struct {
+		c   model.Colour
+		phi string
+	}
 	for _, cut := range []bool{true, false} {
 		sys := build(t, verifysys.ProbePlain, kernel.Leaks{}, cut)
+		byDigest := map[digestKey]string{}
+		byPhi := map[phiKey]uint64{}
+		repeats := 0
+		observe := func(c model.Colour) {
+			t.Helper()
+			str, dig := sys.Abstract(c), sys.AbstractDigest(c)
+			if prev, ok := byDigest[digestKey{c, dig}]; ok && prev != str {
+				t.Fatalf("cut=%v colour %s: digest %x stands for two renderings", cut, c, dig)
+			}
+			if prev, ok := byPhi[phiKey{c, str}]; ok {
+				if prev != dig {
+					t.Fatalf("cut=%v colour %s: one rendering has digests %x and %x", cut, c, prev, dig)
+				}
+				repeats++
+			}
+			byDigest[digestKey{c, dig}] = str
+			byPhi[phiKey{c, str}] = dig
+		}
 		rng := rand.New(rand.NewSource(23))
+		colours := sys.Colours()
 		for trial := 0; trial < 4; trial++ {
 			sys.Randomize(rng)
 			for step := 0; step < 40; step++ {
@@ -148,15 +179,19 @@ func TestAdapterDigestMatchesAbstract(t *testing.T) {
 				} else {
 					sys.ApplyInput(nil)
 				}
-				for _, c := range sys.Colours() {
-					str := sys.Abstract(c)
-					if got, want := sys.AbstractDigest(c), model.DigestString(str); got != want {
-						t.Fatalf("cut=%v colour %s: AbstractDigest %x, FNV(Abstract) %x (len %d)",
-							cut, c, got, want, len(str))
-					}
+				for _, c := range colours {
+					observe(c)
 				}
+				st := sys.Save()
+				c := colours[rng.Intn(len(colours))]
+				sys.PerturbOutside(c, rng)
+				observe(c)
+				sys.Restore(st)
 				sys.Step()
 			}
+		}
+		if repeats == 0 {
+			t.Fatalf("cut=%v: no rendering recurred: the equal half went unchecked", cut)
 		}
 	}
 }

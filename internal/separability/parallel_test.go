@@ -79,8 +79,8 @@ func TestCheckExhaustiveWorkerDeterminism(t *testing.T) {
 // every state and colour, AbstractDigest must collide exactly when the
 // Abstract strings are equal. (The toy system goes through the default
 // hash-the-string shim, so this checks FNV-1a injectivity on the space the
-// calibration proofs rely on; the kernel adapter's native digest has its
-// own test against the same reference.)
+// calibration proofs rely on; the kernel adapter's native fingerprint has
+// its own equality-partition test, TestAdapterDigestMatchesAbstract.)
 func TestToyDigestMatchesAbstract(t *testing.T) {
 	for v := separability.ToySecure; v <= separability.ToyNextOpLeak; v++ {
 		sys := separability.NewToySystem(v)

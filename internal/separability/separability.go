@@ -89,10 +89,10 @@ type Violation struct {
 	Trial     int
 	Step      int
 	// Want and Got are FNV-1a digests of the two encodings whose
-	// disagreement constitutes the violation: the Φ^c digests for the
-	// state-congruence conditions (Meta, 1, 2, 3, 4), and digests of the
-	// compared extracts, OpIDs or colours for conditions 5, 6 and the
-	// scheduling extension. They identify a counterexample across runs
+	// disagreement constitutes the violation: of the Φ^c renderings for the
+	// state-congruence conditions (Meta, 1, 2, 3, 4), and of the compared
+	// extracts, OpIDs or colours for conditions 5, 6 and the scheduling
+	// extension. They identify a counterexample across runs
 	// (package witness matches replayed violations on them) without
 	// re-deriving the full canonical strings.
 	Want, Got uint64
@@ -415,12 +415,16 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 // checkState verifies every applicable condition for colour c at the
 // system's current state, leaving the system state unchanged.
 //
-// All hot-path Φ comparisons use 64-bit FNV digests (model.AbstractDigest)
-// rather than the canonical strings; the strings are re-derived — by
-// restoring the relevant states and calling Abstract — only on the cold
-// path where a violation needs a human-readable Detail. A digest collision
-// could mask a real violation with probability ~2^-64 per comparison,
-// which is far below the residual risk of sampling itself.
+// All hot-path Φ comparisons use 64-bit in-memory digests
+// (model.AbstractDigest) rather than the canonical strings; the strings are
+// re-derived — by restoring the relevant states and calling Abstract — only
+// on the cold path where a violation is reported. The digests are never
+// persisted: a Φ violation's Want and Got are the FNV-1a digests
+// (model.DigestString) of those re-derived strings, the same values for
+// every Digester, so witnesses, shard records and ledgers do not depend on
+// how a system compares Φ in memory. A digest collision could mask a real
+// violation with probability ~2^-64 per comparison, which is far below the
+// residual risk of sampling itself.
 //
 // The sweep anchors on a stateScope, so systems implementing
 // model.Checkpointer pay O(words touched) per reset instead of O(state);
@@ -449,15 +453,24 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 		return sys.Abstract(c)
 	}
 
+	// phiViolation reports a Φc disagreement. The sweep compared in-memory
+	// digests; the violation carries the FNV digests of the two canonical
+	// renderings, which is what leaves the process. got renders the
+	// disagreeing state; want re-derives the expected rendering, moving
+	// the system (every caller resets the scope afterwards).
+	phiViolation := func(cond Condition, what string, want func() string, got string) Violation {
+		w := want()
+		return Violation{Condition: cond, Colour: c, Op: op, Trial: trial, Step: step,
+			Want: model.DigestString(w), Got: model.DigestString(got),
+			Detail: what + diffDetail(w, got)}
+	}
+
 	if active != c {
 		// Condition 2: an operation on another's behalf must not change
 		// Φc. Single-state check, no perturbation needed.
 		sys.Step()
-		if after := model.AbstractDigest(sys, c); after != phi0 {
-			afterStr := sys.Abstract(c)
-			res.add(Violation{Condition: Condition2, Colour: c, Op: op,
-				Trial: trial, Step: step, Want: phi0, Got: after,
-				Detail: diffDetail(phiString(), afterStr)})
+		if model.AbstractDigest(sys, c) != phi0 {
+			res.add(phiViolation(Condition2, "", phiString, sys.Abstract(c)))
 		}
 		res.count(Condition2)
 		sc.reset()
@@ -470,11 +483,9 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 		sc.reset()
 
 		sys.PerturbOutside(c, rng)
-		if got := model.AbstractDigest(sys, c); got != phi0 {
-			gotStr := sys.Abstract(c)
-			res.add(Violation{Condition: ConditionMeta, Colour: c, Op: op,
-				Trial: trial, Step: step, Want: phi0, Got: got,
-				Detail: "PerturbOutside failed to preserve Φc: " + diffDetail(phiString(), gotStr)})
+		if model.AbstractDigest(sys, c) != phi0 {
+			res.add(phiViolation(ConditionMeta, "PerturbOutside failed to preserve Φc: ",
+				phiString, sys.Abstract(c)))
 			res.count(ConditionMeta)
 			return
 		}
@@ -489,13 +500,13 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 			}
 			sys.Step()
 			res.count(Condition1)
-			if got := model.AbstractDigest(sys, c); got != phiAfter {
-				gotStr := sys.Abstract(c)
-				sc.reset()
-				sys.Step()
-				res.add(Violation{Condition: Condition1, Colour: c, Op: op,
-					Trial: trial, Step: step, Want: phiAfter, Got: got,
-					Detail: "Φc after op differs on Φc-equal states: " + diffDetail(sys.Abstract(c), gotStr)})
+			if model.AbstractDigest(sys, c) != phiAfter {
+				res.add(phiViolation(Condition1, "Φc after op differs on Φc-equal states: ",
+					func() string {
+						sc.reset()
+						sys.Step()
+						return sys.Abstract(c)
+					}, sys.Abstract(c)))
 			}
 		}
 		sc.reset()
@@ -517,15 +528,14 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 	}
 	sc.reset()
 
-	// phiInString re-derives Φc of INPUT(anchor, in) for violation reports.
-	phiInString := func(in model.Input) string {
+	// Condition 3: same input on Φc-equal states. phiInString re-derives
+	// Φc of INPUT(anchor, in) for violation reports.
+	in := sys.RandomInput(rng)
+	phiInString := func() string {
 		sc.reset()
 		sys.ApplyInput(in)
 		return sys.Abstract(c)
 	}
-
-	// Condition 3: same input on Φc-equal states.
-	in := sys.RandomInput(rng)
 	sys.ApplyInput(in)
 	phiIn := model.AbstractDigest(sys, c)
 	sc.reset()
@@ -533,11 +543,9 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 	if model.AbstractDigest(sys, c) == phi0 {
 		sys.ApplyInput(in)
 		res.count(Condition3)
-		if got := model.AbstractDigest(sys, c); got != phiIn {
-			gotStr := sys.Abstract(c)
-			res.add(Violation{Condition: Condition3, Colour: c, Op: op,
-				Trial: trial, Step: step, Want: phiIn, Got: got,
-				Detail: "Φc after INPUT differs on Φc-equal states: " + diffDetail(phiInString(in), gotStr)})
+		if model.AbstractDigest(sys, c) != phiIn {
+			res.add(phiViolation(Condition3, "Φc after INPUT differs on Φc-equal states: ",
+				phiInString, sys.Abstract(c)))
 		}
 	}
 	sc.reset()
@@ -547,11 +555,9 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 	if sys.ExtractInput(c, in) == sys.ExtractInput(c, in2) {
 		sys.ApplyInput(in2)
 		res.count(Condition4)
-		if got := model.AbstractDigest(sys, c); got != phiIn {
-			gotStr := sys.Abstract(c)
-			res.add(Violation{Condition: Condition4, Colour: c, Op: op,
-				Trial: trial, Step: step, Want: phiIn, Got: got,
-				Detail: "Φc after INPUT differs on EXTRACT-equal inputs: " + diffDetail(phiInString(in), gotStr)})
+		if model.AbstractDigest(sys, c) != phiIn {
+			res.add(phiViolation(Condition4, "Φc after INPUT differs on EXTRACT-equal inputs: ",
+				phiInString, sys.Abstract(c)))
 		}
 		sc.reset()
 	}
