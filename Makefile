@@ -150,10 +150,11 @@ watch-smoke:
 	@echo "watch-smoke: idempotent re-verification clean, planted leak classified as verdict flip + digest drift"
 
 # Race-detector pass over the concurrent verification engine, the kernel
-# adapter it replicates, the witness store fed from worker results, and the
+# adapter and MiniSUE replicas it sweeps (whose workers share the fold's
+# saturation masks), the witness store fed from worker results, and the
 # observability counters they share. CI runs this target.
 race:
-	$(GO) test -race ./internal/separability/... ./internal/kernel/... ./internal/witness/... ./internal/obs/... ./internal/watch/...
+	$(GO) test -race ./internal/separability/... ./internal/minisue/... ./internal/kernel/... ./internal/witness/... ./internal/obs/... ./internal/watch/...
 
 test:
 	$(GO) test ./...

@@ -7,10 +7,15 @@
 // save slots, per-regime program counters, interrupt pending flags fed by
 // coloured inputs, and per-regime output latches.
 //
-// The state space (≈74k states × 4 inputs) is enumerated completely, so
-// CheckExhaustive constitutes a genuine proof that the six conditions hold
-// of the secure variant — and the fault-injected variants (mirroring the
-// real kernel's Leaks) are refuted with counterexamples.
+// The state space (73,728 states × 4 inputs; 147,456 for SharedCell, whose
+// kernel cell doubles it) is enumerated completely, so CheckExhaustive
+// constitutes a genuine proof that the six conditions hold of the secure
+// variant — and the fault-injected variants (mirroring the real kernel's
+// Leaks) are refuted with counterexamples.
+//
+// Every encoding the checker reads — Φ^c, NEXTOP and both extracts — has a
+// handful of possible values, so each is rendered once at init into a
+// table and the hot path only indexes it.
 package minisue
 
 import (
@@ -56,15 +61,16 @@ func VariantName(v Variant) string {
 // Each regime runs the fixed three-instruction loop INC; OUT; SWAP.
 const progLen = 3
 
-// state is the complete concrete machine state.
+// state is the complete concrete machine state, one byte per field so the
+// enumerated space packs densely.
 type state struct {
-	cur  int    // which regime holds the CPU
-	acc  int    // the shared CPU accumulator (2 bits)
-	save [2]int // per-regime accumulator save slots
-	pc   [2]int // per-regime program counters (0..2)
-	out  [2]int // per-regime output latches
-	pend [2]int // per-regime interrupt pending flags
-	cell int    // kernel-internal cell (used by SharedCell)
+	cur  uint8    // which regime holds the CPU
+	acc  uint8    // the shared CPU accumulator (2 bits)
+	save [2]uint8 // per-regime accumulator save slots
+	pc   [2]uint8 // per-regime program counters (0..2)
+	out  [2]uint8 // per-regime output latches
+	pend [2]uint8 // per-regime interrupt pending flags
+	cell uint8    // kernel-internal cell (used by SharedCell)
 }
 
 // input is one stimulus: an interrupt request bit per regime.
@@ -72,6 +78,49 @@ type input struct{ irq [2]int }
 
 // Colours of the two regimes.
 var Colours = []model.Colour{"red", "black"}
+
+// outputs is CurrentOutput's value: regime c's 2-bit output latch at bits
+// 2c..2c+1. A one-byte value boxes into a model.Output without allocating.
+type outputs uint8
+
+// The canonical encodings, rendered once. phiTable is indexed by phiIndex;
+// opTable by regime and program step, with step progLen meaning interrupt
+// delivery.
+var (
+	phiTable [4 * progLen * 4 * 2]string
+	opTable  [2][progLen + 1]model.OpID
+	irqTable [2]string
+	outTable [4]string
+)
+
+func phiIndex(acc, pc, out, pend uint8) int {
+	return ((int(acc)*progLen+int(pc))*4+int(out))*2 + int(pend)
+}
+
+func init() {
+	for acc := uint8(0); acc < 4; acc++ {
+		for pc := uint8(0); pc < progLen; pc++ {
+			for out := uint8(0); out < 4; out++ {
+				for pend := uint8(0); pend < 2; pend++ {
+					phiTable[phiIndex(acc, pc, out, pend)] =
+						fmt.Sprintf("acc=%d;pc=%d;out=%d;pend=%d", acc, pc, out, pend)
+				}
+			}
+		}
+	}
+	names := [progLen + 1]string{"inc", "out", "swap", "deliver"}
+	for c := range opTable {
+		for k, name := range names {
+			opTable[c][k] = model.OpID(fmt.Sprintf("%s:%s", name, Colours[c]))
+		}
+	}
+	for b := range irqTable {
+		irqTable[b] = fmt.Sprintf("irq=%d", b)
+	}
+	for o := range outTable {
+		outTable[o] = fmt.Sprintf("out=%d", o)
+	}
+}
 
 func colourIndex(c model.Colour) int {
 	if c == Colours[0] {
@@ -117,10 +166,9 @@ func (m *System) Colour() model.Colour { return Colours[m.s.cur] }
 func (m *System) NextOp() model.OpID {
 	c := m.s.cur
 	if m.s.pend[c] == 1 {
-		return model.OpID(fmt.Sprintf("deliver:%s", Colours[c]))
+		return opTable[c][progLen]
 	}
-	names := [progLen]string{"inc", "out", "swap"}
-	return model.OpID(fmt.Sprintf("%s:%s", names[m.s.pc[c]], Colours[c]))
+	return opTable[c][m.s.pc[c]]
 }
 
 // Step implements model.SharedSystem.
@@ -177,8 +225,11 @@ func (m *System) ApplyInput(in model.Input) {
 	}
 }
 
-// CurrentOutput implements model.SharedSystem.
-func (m *System) CurrentOutput() model.Output { s := m.s; return &s }
+// CurrentOutput implements model.SharedSystem: the two output latches,
+// packed (see outputs).
+func (m *System) CurrentOutput() model.Output {
+	return outputs(m.s.out[0] | m.s.out[1]<<2)
+}
 
 // Abstract implements model.SharedSystem: a regime's abstract machine is
 // its accumulator (live or saved), program counter, output latch and
@@ -186,10 +237,10 @@ func (m *System) CurrentOutput() model.Output { s := m.s; return &s }
 func (m *System) Abstract(c model.Colour) string {
 	i := colourIndex(c)
 	acc := m.s.save[i]
-	if m.s.cur == i {
+	if int(m.s.cur) == i {
 		acc = m.s.acc
 	}
-	return fmt.Sprintf("acc=%d;pc=%d;out=%d;pend=%d", acc, m.s.pc[i], m.s.out[i], m.s.pend[i])
+	return phiTable[phiIndex(acc, m.s.pc[i], m.s.out[i], m.s.pend[i])]
 }
 
 // ExtractInput implements model.SharedSystem.
@@ -197,38 +248,40 @@ func (m *System) ExtractInput(c model.Colour, in model.Input) string {
 	if in == nil {
 		return ""
 	}
-	return fmt.Sprintf("irq=%d", in.(input).irq[colourIndex(c)])
+	return irqTable[in.(input).irq[colourIndex(c)]]
 }
 
 // ExtractOutput implements model.SharedSystem.
 func (m *System) ExtractOutput(c model.Colour, o model.Output) string {
-	return fmt.Sprintf("out=%d", o.(*state).out[colourIndex(c)])
+	return outTable[o.(outputs)>>(2*colourIndex(c))&3]
 }
 
-// EnumerateStates implements model.Enumerable: every concrete state.
+// EnumerateStates implements model.Enumerable: every concrete state, each
+// a pointer into one slice allocated per call.
 func (m *System) EnumerateStates(fn func(model.StateRef) bool) {
-	cells := 1
+	cells := uint8(1)
 	if m.Variant == SharedCell {
 		cells = 2
 	}
-	for cur := 0; cur < 2; cur++ {
-		for acc := 0; acc < 4; acc++ {
-			for s0 := 0; s0 < 4; s0++ {
-				for s1 := 0; s1 < 4; s1++ {
-					for p0 := 0; p0 < progLen; p0++ {
-						for p1 := 0; p1 < progLen; p1++ {
-							for o0 := 0; o0 < 4; o0++ {
-								for o1 := 0; o1 < 4; o1++ {
-									for q0 := 0; q0 < 2; q0++ {
-										for q1 := 0; q1 < 2; q1++ {
-											for cl := 0; cl < cells; cl++ {
-												s := state{cur: cur, acc: acc,
-													save: [2]int{s0, s1},
-													pc:   [2]int{p0, p1},
-													out:  [2]int{o0, o1},
-													pend: [2]int{q0, q1},
-													cell: cl}
-												if !fn(&s) {
+	all := make([]state, 0, 2*4*4*4*progLen*progLen*4*4*2*2*int(cells))
+	for cur := uint8(0); cur < 2; cur++ {
+		for acc := uint8(0); acc < 4; acc++ {
+			for s0 := uint8(0); s0 < 4; s0++ {
+				for s1 := uint8(0); s1 < 4; s1++ {
+					for p0 := uint8(0); p0 < progLen; p0++ {
+						for p1 := uint8(0); p1 < progLen; p1++ {
+							for o0 := uint8(0); o0 < 4; o0++ {
+								for o1 := uint8(0); o1 < 4; o1++ {
+									for q0 := uint8(0); q0 < 2; q0++ {
+										for q1 := uint8(0); q1 < 2; q1++ {
+											for cl := uint8(0); cl < cells; cl++ {
+												all = append(all, state{cur: cur, acc: acc,
+													save: [2]uint8{s0, s1},
+													pc:   [2]uint8{p0, p1},
+													out:  [2]uint8{o0, o1},
+													pend: [2]uint8{q0, q1},
+													cell: cl})
+												if !fn(&all[len(all)-1]) {
 													return
 												}
 											}
@@ -258,32 +311,35 @@ func (m *System) EnumerateInputs(fn func(model.Input) bool) {
 // Randomize implements model.Perturbable.
 func (m *System) Randomize(r model.Rand) {
 	m.s = state{
-		cur:  r.Intn(2),
-		acc:  r.Intn(4),
-		save: [2]int{r.Intn(4), r.Intn(4)},
-		pc:   [2]int{r.Intn(progLen), r.Intn(progLen)},
-		out:  [2]int{r.Intn(4), r.Intn(4)},
-		pend: [2]int{r.Intn(2), r.Intn(2)},
+		cur:  draw(r, 2),
+		acc:  draw(r, 4),
+		save: [2]uint8{draw(r, 4), draw(r, 4)},
+		pc:   [2]uint8{draw(r, progLen), draw(r, progLen)},
+		out:  [2]uint8{draw(r, 4), draw(r, 4)},
+		pend: [2]uint8{draw(r, 2), draw(r, 2)},
 	}
 	if m.Variant == SharedCell {
-		m.s.cell = r.Intn(2)
+		m.s.cell = draw(r, 2)
 	}
 }
 
 // PerturbOutside implements model.Perturbable.
 func (m *System) PerturbOutside(c model.Colour, r model.Rand) {
 	o := 1 - colourIndex(c)
-	if m.s.cur == o {
-		m.s.acc = r.Intn(4)
+	if int(m.s.cur) == o {
+		m.s.acc = draw(r, 4)
 	} else {
-		m.s.save[o] = r.Intn(4)
+		m.s.save[o] = draw(r, 4)
 	}
-	m.s.pc[o] = r.Intn(progLen)
-	m.s.out[o] = r.Intn(4)
+	m.s.pc[o] = draw(r, progLen)
+	m.s.out[o] = draw(r, 4)
 	// pend[o] stays: flipping it would not change Φc, but it is part of
 	// the other colour's control state the checker samples anyway.
-	m.s.cell = r.Intn(2)
+	m.s.cell = draw(r, 2)
 }
+
+// draw returns a uniform value in [0, n).
+func draw(r model.Rand, n int) uint8 { return uint8(r.Intn(n)) }
 
 // RandomInput implements model.Perturbable.
 func (m *System) RandomInput(r model.Rand) model.Input {

@@ -37,9 +37,7 @@ import (
 // unsharded sweep exactly, at any shard x worker count.
 //
 // MaxViolations does not stop the sweep early: condition *counts* always
-// cover the full space, and violation construction is merely suppressed
-// once a per-chunk per-colour result holds MaxViolations entries for the
-// violation's condition. The cap is per condition, so every condition that
+// cover the full space. The cap is per condition, so every condition that
 // is violated anywhere keeps its first counterexamples — ViolatedConditions
 // is exact, not an artifact of which violations happened to fill a global
 // cap first. Per-condition prefix-truncation is associative and
@@ -47,6 +45,23 @@ import (
 // files into the combined Result, and per-colour results into the final
 // verdict all commute with the cap — the surviving violations are
 // identical however the space was partitioned.
+//
+// The cap is tested before a violation is built, because building one
+// re-derives its Detail on the system (a Restore, usually a Step, and the
+// renderings). Construction is skipped whenever truncation would drop the
+// violation anyway, by two rules:
+//
+//   - Chunk cap: the chunk's result for the colour already holds
+//     MaxViolations violations of the condition.
+//   - Fold prefix: chunks fold into the shard accumulators strictly in
+//     chunk order, and truncation keeps each condition's first
+//     MaxViolations. So once the folded accumulator for colour c holds
+//     MaxViolations violations of condition k, no later chunk can add a
+//     k-violation for c. The folder publishes these saturated conditions
+//     as one atomic bitmask per colour. A worker snapshots the masks when
+//     it claims a chunk; every chunk it can still claim lies at or past the
+//     folded frontier, so the snapshot is never too eager. A resumed run
+//     seeds the masks from the checkpoint's accumulators.
 type stateInfo struct {
 	ref    model.StateRef
 	colour model.Colour
@@ -168,6 +183,21 @@ func CheckExhaustiveOpt(sys model.Enumerable, opt ExhaustiveOptions) *Result {
 // ShardResult. Checkpoint resume, sharding and worker parallelism all
 // compose: the merged result is byte-identical however the sweep was cut.
 func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardResult, error) {
+	sr, _, err := checkExhaustiveShard(sys, opt)
+	return sr, err
+}
+
+// sweepStats is what a shard run reports beyond its artifact: the number
+// of violations it built that the fold then truncated. Tests read it to
+// check that the cap stops construction early; it is never persisted.
+type sweepStats struct {
+	truncated int
+}
+
+// checkExhaustiveShard is CheckExhaustiveShard plus the run's sweepStats,
+// which are valid on ErrAborted too.
+func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardResult, sweepStats, error) {
+	var stats sweepStats
 	maxViolations := opt.MaxViolations
 	if maxViolations <= 0 {
 		maxViolations = 64
@@ -185,7 +215,7 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		shards = 1
 	}
 	if shard < 0 || shard >= shards {
-		return nil, fmt.Errorf("separability: invalid shard %d/%d", shard, shards)
+		return nil, stats, fmt.Errorf("separability: invalid shard %d/%d", shard, shards)
 	}
 	ckEvery := opt.CheckpointEvery
 	if ckEvery <= 0 {
@@ -225,21 +255,21 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	if opt.Checkpoint != "" {
 		ck, err := ReadShardCheckpoint(opt.Checkpoint)
 		if err != nil {
-			return nil, err
+			return nil, stats, err
 		}
 		if ck != nil {
 			if err := ck.ShardParams.sameSweep(params); err != nil {
-				return nil, fmt.Errorf("separability: checkpoint %s: %w", opt.Checkpoint, err)
+				return nil, stats, fmt.Errorf("separability: checkpoint %s: %w", opt.Checkpoint, err)
 			}
 			if ck.Shard != shard {
-				return nil, fmt.Errorf("separability: checkpoint %s: shard %d, want %d",
+				return nil, stats, fmt.Errorf("separability: checkpoint %s: shard %d, want %d",
 					opt.Checkpoint, ck.Shard, shard)
 			}
 			frontier = ck.Frontier
 			for ci := range acc {
 				r, err := ck.PerColour[ci].result()
 				if err != nil {
-					return nil, fmt.Errorf("separability: checkpoint %s: colour %d: %w",
+					return nil, stats, fmt.Errorf("separability: checkpoint %s: colour %d: %w",
 						opt.Checkpoint, ci, err)
 				}
 				acc[ci] = r
@@ -344,13 +374,13 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	e := &exhEngine{
 		colours: colours, inputs: inputs,
 		leads: leads, leadBySi: leadBySi,
-		maxViolations: maxViolations,
 	}
 
 	// The chunk sweep: workers claim chunks from the shard's frontier, each
 	// precomputing states into one pooled stateInfo and checking them
-	// in place; the folder merges finished chunks strictly in chunk order
-	// and persists the checkpoint at the configured cadence.
+	// in place; the folder merges finished chunks strictly in chunk order,
+	// publishes which conditions it has saturated, and persists the
+	// checkpoint at the configured cadence.
 	folder := &chunkFolder{
 		pending: map[int][]*Result{}, frontier: frontier, endChunk: endChunk,
 		acc: acc, max: maxViolations, abortAfter: opt.AbortAfterChunks,
@@ -358,25 +388,20 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		mkCk: func(frontier int, acc []*Result, doneFlag bool) *ShardCheckpoint {
 			return newShardCheckpoint(params, startChunk, endChunk, frontier, doneFlag, acc)
 		},
+		sat: make([]atomic.Uint32, nc),
+	}
+	for ci := range acc {
+		folder.sat[ci].Store(saturatedConditions(acc[ci].Violations, maxViolations))
 	}
 	var claim atomic.Int64
 	claim.Store(int64(frontier))
 	forEachReplica(replicas, func(_ int, rep model.Enumerable) {
-		var info stateInfo
-		groups := make(map[uint64]int, len(inputs))
-		opClass := map[model.OpID]string{}
-		cls := func(op model.OpID) string {
-			s, ok := opClass[op]
-			if !ok {
-				s = model.OpClass(rep, op)
-				opClass[op] = s
-			}
-			return s
-		}
+		w := newSweepWorker(rep, nc, maxViolations)
 		for {
 			if folder.stopped() {
 				return
 			}
+			folder.saturation(w.full)
 			cj := int(claim.Add(1)) - 1
 			if cj >= endChunk {
 				return
@@ -390,20 +415,22 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 			}
 			lo, hi := chunkBounds(cj, chunkSize, len(states))
 			for si := lo; si < hi; si++ {
-				precomputeInto(rep, states[si], colours, inputs, phi0[si*nc:(si+1)*nc], &info)
-				e.checkState(rep, cls, groups, si, &info, perColour)
+				precomputeInto(rep, states[si], colours, inputs, phi0[si*nc:(si+1)*nc], &w.info)
+				e.checkState(w, si, perColour)
 				if done != nil {
 					done.Add(unitsPerState)
 				}
 			}
+			w.flush(perColour)
 			folder.deliver(cj, perColour)
 		}
 	})
+	stats.truncated = folder.truncated
 	if folder.err != nil {
-		return nil, folder.err
+		return nil, stats, folder.err
 	}
 	if folder.stop {
-		return nil, ErrAborted
+		return nil, stats, ErrAborted
 	}
 
 	sr := &ShardResult{
@@ -411,15 +438,15 @@ func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		PerColour:   resultRecords(acc),
 	}
 	if err := artifact.Seal(sr, &sr.ID); err != nil {
-		return nil, err
+		return nil, stats, err
 	}
 	if opt.Checkpoint != "" {
 		ck := newShardCheckpoint(params, startChunk, endChunk, endChunk, true, acc)
 		if err := ck.write(opt.Checkpoint, ck); err != nil {
-			return nil, err
+			return nil, stats, err
 		}
 	}
-	return sr, nil
+	return sr, stats, nil
 }
 
 // leadEnt is one (colour, Φ-digest) bucket of the lead table: its size, its
@@ -432,33 +459,107 @@ type leadEnt struct {
 
 // exhEngine bundles the read-only sweep context the per-state check needs.
 type exhEngine struct {
-	colours       []model.Colour
-	inputs        []model.Input
-	leads         []map[uint64]*leadEnt
-	leadBySi      map[int]*stateInfo
-	maxViolations int
+	colours  []model.Colour
+	inputs   []model.Input
+	leads    []map[uint64]*leadEnt
+	leadBySi map[int]*stateInfo
 }
 
-// checkState runs every condition for every colour at one state, appending
-// to the chunk's per-colour results. The condition order per (state,
-// colour) is fixed — 2, 5, 3 per input, 6, 1, 4 — so violation order is a
-// pure function of enumeration order, independent of chunking. sys is used
-// only for lazy Detail re-derivation on the cold violation path; groups is
-// a caller-owned scratch map reused across states.
-func (e *exhEngine) checkState(sys model.Enumerable, cls func(model.OpID) string,
-	groups map[uint64]int, si int, info *stateInfo, out []*Result) {
+// sweepWorker is one replica's scratch in the chunk sweep. For the chunk
+// being swept it holds, per colour, the condition counts, the op-class
+// counts and the violations built per condition, plus the fold's
+// saturation masks as of the chunk's claim. flush writes the counts into
+// the chunk's Results once.
+type sweepWorker struct {
+	sys     model.Enumerable
+	max     int // MaxViolations
+	info    stateInfo
+	checks  [][ConditionSched + 1]int
+	built   [][ConditionSched + 1]int
+	ops     [][]int // [colour][index into classes]
+	full    []uint32
+	classOf map[model.OpID]int
+	classes []string
+	groups  []int // condition 4: the first input of each distinct extract
+}
 
+func newSweepWorker(sys model.Enumerable, nc, max int) *sweepWorker {
+	return &sweepWorker{
+		sys:     sys,
+		max:     max,
+		checks:  make([][ConditionSched + 1]int, nc),
+		built:   make([][ConditionSched + 1]int, nc),
+		ops:     make([][]int, nc),
+		full:    make([]uint32, nc),
+		classOf: map[model.OpID]int{},
+	}
+}
+
+// class returns op's index into w.classes, classifying it on first sight.
+func (w *sweepWorker) class(op model.OpID) int {
+	k, ok := w.classOf[op]
+	if !ok {
+		k = len(w.classes)
+		w.classes = append(w.classes, model.OpClass(w.sys, op))
+		w.classOf[op] = k
+		for ci := range w.ops {
+			w.ops[ci] = append(w.ops[ci], 0)
+		}
+	}
+	return k
+}
+
+// room reports whether a violation of cond for colour ci can survive the
+// fold, counting it as built if so. Call it only once the condition has
+// failed, and build the violation only when it returns true.
+func (w *sweepWorker) room(ci int, cond Condition) bool {
+	if w.full[ci]&(1<<cond) != 0 || w.built[ci][cond] >= w.max {
+		return false
+	}
+	w.built[ci][cond]++
+	return true
+}
+
+// flush writes the chunk's non-zero counts into its per-colour Results and
+// resets the worker for the next chunk.
+func (w *sweepWorker) flush(out []*Result) {
+	for ci, res := range out {
+		for cond, n := range w.checks[ci] {
+			if n > 0 {
+				res.countN(Condition(cond), n)
+			}
+		}
+		for k, n := range w.ops[ci] {
+			res.countOp(w.classes[k], n)
+		}
+		w.checks[ci] = [ConditionSched + 1]int{}
+		w.built[ci] = [ConditionSched + 1]int{}
+		clear(w.ops[ci])
+	}
+}
+
+// checkState runs every condition for every colour at state si, whose
+// stateInfo is w.info, appending violations to the chunk's per-colour
+// results and counting into w. The condition order per (state, colour) is
+// fixed — 2, 5, 3 per input, 6, 1, 4 — so violation order is a pure
+// function of enumeration order, independent of chunking. w.sys is used
+// only to re-derive Details for the violations that are built.
+func (e *exhEngine) checkState(w *sweepWorker, si int, out []*Result) {
+	sys, info := w.sys, &w.info
+	cls := -1
 	for ci, c := range e.colours {
 		res := out[ci]
+		checks := &w.checks[ci]
 		ent := e.leads[ci][info.phi[ci]]
+		n := 0 // condition instances checked at this (state, colour)
 
 		// Condition 2: an operation on another colour's behalf leaves Φc
 		// unchanged (single-state check).
 		if info.colour != c {
-			res.count(Condition2)
-			res.countOp(cls(info.op), 1)
-			if info.phiOp[ci] != info.phi[ci] {
-				e.addCapped(res, Violation{Condition: Condition2, Colour: c, Op: info.op,
+			checks[Condition2]++
+			n++
+			if info.phiOp[ci] != info.phi[ci] && w.room(ci, Condition2) {
+				res.add(Violation{Condition: Condition2, Colour: c, Op: info.op,
 					Step: si, Want: info.phi[ci], Got: info.phiOp[ci],
 					Detail: diffDetail(phiAt(sys, info.ref, c), phiOpAt(sys, info.ref, c))})
 			}
@@ -468,22 +569,22 @@ func (e *exhEngine) checkState(sys model.Enumerable, cls func(model.OpID) string
 		// nothing to compare against.
 		if ent.n >= 2 && si != ent.leadSi {
 			lead := e.leadBySi[ent.leadSi]
-			res.countOp(cls(info.op), 1+len(e.inputs))
+			n += 1 + len(e.inputs)
 
 			// Condition 5: outputs agree across the bucket.
-			res.count(Condition5)
-			if info.outEx[ci] != lead.outEx[ci] {
-				e.addCapped(res, Violation{Condition: Condition5, Colour: c, Op: info.op,
+			checks[Condition5]++
+			if info.outEx[ci] != lead.outEx[ci] && w.room(ci, Condition5) {
+				res.add(Violation{Condition: Condition5, Colour: c, Op: info.op,
 					Step: si, Want: lead.outEx[ci], Got: info.outEx[ci],
 					Detail: fmt.Sprintf("EXTRACT(c,OUTPUT) %q vs %q",
 						outExAt(sys, lead.ref, c), outExAt(sys, info.ref, c))})
 			}
 
 			// Condition 3: inputs act congruently across the bucket.
+			checks[Condition3] += len(e.inputs)
 			for ii := range e.inputs {
-				res.count(Condition3)
-				if info.phiIn[ii][ci] != lead.phiIn[ii][ci] {
-					e.addCapped(res, Violation{Condition: Condition3, Colour: c, Op: info.op,
+				if info.phiIn[ii][ci] != lead.phiIn[ii][ci] && w.room(ci, Condition3) {
+					res.add(Violation{Condition: Condition3, Colour: c, Op: info.op,
 						Step: si, Want: lead.phiIn[ii][ci], Got: info.phiIn[ii][ci],
 						Detail: fmt.Sprintf("input %d: %s", ii,
 							diffDetail(phiInAt(sys, lead.ref, e.inputs[ii], c),
@@ -495,64 +596,63 @@ func (e *exhEngine) checkState(sys model.Enumerable, cls func(model.OpID) string
 		// Conditions 6 and 1 against the bucket's first COLOUR=c member.
 		if info.colour == c && ent.nActive >= 2 && si != ent.activeSi {
 			aLead := e.leadBySi[ent.activeSi]
-			res.countOp(cls(info.op), 2)
-			res.count(Condition6)
-			if info.op != aLead.op {
-				e.addCapped(res, Violation{Condition: Condition6, Colour: c, Op: info.op,
+			n += 2
+			checks[Condition6]++
+			if info.op != aLead.op && w.room(ci, Condition6) {
+				res.add(Violation{Condition: Condition6, Colour: c, Op: info.op,
 					Step: si,
 					Want: model.DigestString(string(aLead.op)), Got: model.DigestString(string(info.op)),
 					Detail: fmt.Sprintf("NEXTOP %q vs %q", aLead.op, info.op)})
 			}
-			res.count(Condition1)
-			if info.phiOp[ci] != aLead.phiOp[ci] {
-				e.addCapped(res, Violation{Condition: Condition1, Colour: c, Op: info.op,
+			checks[Condition1]++
+			if info.phiOp[ci] != aLead.phiOp[ci] && w.room(ci, Condition1) {
+				res.add(Violation{Condition: Condition1, Colour: c, Op: info.op,
 					Step: si, Want: aLead.phiOp[ci], Got: info.phiOp[ci],
 					Detail: diffDetail(phiOpAt(sys, aLead.ref, c), phiOpAt(sys, info.ref, c))})
 			}
 		}
 
-		// Condition 4: this state's inputs grouped by EXTRACT(c, i).
-		clear(groups)
-		checked := 0
+		// Condition 4: this state's inputs grouped by EXTRACT(c, i), each
+		// compared with the first input of its group.
+		w.groups = w.groups[:0]
 		for ii := range e.inputs {
 			key := info.inEx[ii][ci]
-			if first, ok := groups[key]; ok {
-				res.count(Condition4)
-				checked++
-				if info.phiIn[ii][ci] != info.phiIn[first][ci] {
-					e.addCapped(res, Violation{Condition: Condition4, Colour: c, Op: info.op,
-						Step: si, Want: info.phiIn[first][ci], Got: info.phiIn[ii][ci],
-						Detail: fmt.Sprintf("inputs %d and %d extract-equal but act differently",
-							first, ii)})
+			first := -1
+			for _, g := range w.groups {
+				if info.inEx[g][ci] == key {
+					first = g
+					break
 				}
-			} else {
-				groups[key] = ii
+			}
+			if first < 0 {
+				w.groups = append(w.groups, ii)
+				continue
+			}
+			checks[Condition4]++
+			n++
+			if info.phiIn[ii][ci] != info.phiIn[first][ci] && w.room(ci, Condition4) {
+				res.add(Violation{Condition: Condition4, Colour: c, Op: info.op,
+					Step: si, Want: info.phiIn[first][ci], Got: info.phiIn[ii][ci],
+					Detail: fmt.Sprintf("inputs %d and %d extract-equal but act differently",
+						first, ii)})
 			}
 		}
-		res.countOp(cls(info.op), checked)
-	}
-}
 
-// addCapped appends unless the chunk-colour result already holds the
-// per-condition cap for v's condition (the scan is cold: it only runs when
-// a violation was found, and chunk results are bounded); counting is
-// unaffected, so suppression composes with any partitioning.
-func (e *exhEngine) addCapped(res *Result, v Violation) {
-	n := 0
-	for i := range res.Violations {
-		if res.Violations[i].Condition == v.Condition {
-			if n++; n >= e.maxViolations {
-				return
+		if n > 0 {
+			if cls < 0 {
+				cls = w.class(info.op)
 			}
+			w.ops[ci][cls] += n
 		}
 	}
-	res.add(v)
 }
 
 // chunkFolder merges finished chunks into the shard's per-colour
 // accumulators strictly in chunk order (out-of-order deliveries wait in
 // pending), truncating each colour to the violation cap, and persists the
-// checkpoint at the configured cadence under the same lock.
+// checkpoint at the configured cadence under the same lock. sat[ci] holds
+// saturatedConditions of colour ci's accumulator; it is the only field
+// workers read without the lock.
 type chunkFolder struct {
 	mu         sync.Mutex
 	pending    map[int][]*Result
@@ -568,6 +668,15 @@ type chunkFolder struct {
 	sinceCk    int
 	mkCk       func(frontier int, acc []*Result, done bool) *ShardCheckpoint
 	err        error
+	sat        []atomic.Uint32
+	truncated  int
+}
+
+// saturation copies the per-colour saturation masks into dst.
+func (f *chunkFolder) saturation(dst []uint32) {
+	for ci := range dst {
+		dst[ci] = f.sat[ci].Load()
+	}
 }
 
 func (f *chunkFolder) stopped() bool {
@@ -590,8 +699,15 @@ func (f *chunkFolder) deliver(cj int, perColour []*Result) {
 		}
 		delete(f.pending, f.frontier)
 		for ci, cr := range next {
-			f.acc[ci].Merge(cr)
-			f.acc[ci].Violations = truncatePerCondition(f.acc[ci].Violations, f.max)
+			acc := f.acc[ci]
+			acc.Merge(cr)
+			if len(cr.Violations) == 0 {
+				continue // acc is still truncated and its saturation unchanged
+			}
+			n := len(acc.Violations)
+			acc.Violations = truncatePerCondition(acc.Violations, f.max)
+			f.truncated += n - len(acc.Violations)
+			f.sat[ci].Store(saturatedConditions(acc.Violations, f.max))
 		}
 		f.frontier++
 		f.foldedRun++
@@ -797,6 +913,22 @@ func foldColours(perColour []*Result, max int) *Result {
 	}
 	res.Violations = truncatePerCondition(res.Violations, max)
 	return res
+}
+
+// saturatedConditions returns, as a bitmask over Condition values, the
+// conditions of which vs holds at least max violations. A shard
+// accumulator's violations only grow by appending later chunks, and
+// truncatePerCondition keeps prefixes, so no later violation of a
+// saturated condition survives.
+func saturatedConditions(vs []Violation, max int) uint32 {
+	var counts [ConditionSched + 1]int
+	var mask uint32
+	for _, v := range vs {
+		if counts[v.Condition]++; counts[v.Condition] >= max {
+			mask |= 1 << v.Condition
+		}
+	}
+	return mask
 }
 
 // truncatePerCondition keeps each condition's first max violations,

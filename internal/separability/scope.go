@@ -6,7 +6,8 @@ import "repro/internal/model"
 // preferring the O(dirty) model.Checkpointer API (delta snapshots) and
 // falling back to Save/Restore for systems without it. Both paths leave
 // identical observable behaviour: reset() returns the system to the anchor
-// state, close() does the same and releases any checkpoint resources.
+// state, close() does the same and releases any checkpoint resources. It is
+// a value, so a scope opened per state stays off the heap.
 type stateScope struct {
 	sys model.SharedSystem
 	ckp model.Checkpointer
@@ -15,13 +16,13 @@ type stateScope struct {
 }
 
 // openScope anchors at the system's current state.
-func openScope(sys model.SharedSystem) *stateScope { return openScopeAt(sys, nil) }
+func openScope(sys model.SharedSystem) stateScope { return openScopeAt(sys, nil) }
 
 // openScopeAt anchors at the system's current state; ref, when non-nil, is
 // an existing StateRef of that same state, reused to avoid a redundant
 // Save on the fallback path.
-func openScopeAt(sys model.SharedSystem, ref model.StateRef) *stateScope {
-	sc := &stateScope{sys: sys}
+func openScopeAt(sys model.SharedSystem, ref model.StateRef) stateScope {
+	sc := stateScope{sys: sys}
 	if ckp, ok := sys.(model.Checkpointer); ok {
 		if cp := ckp.Checkpoint(); cp != nil {
 			sc.ckp, sc.cp = ckp, cp
