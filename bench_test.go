@@ -607,6 +607,22 @@ start:
 	BR start
 `
 
+// prove runs the whole exhaustive sweep of sys on the given number of
+// workers and returns its verdict, failing the benchmark on error.
+func prove(b *testing.B, sys model.Enumerable, maxViolations, workers int) *separability.Result {
+	b.Helper()
+	sr, err := separability.CheckExhaustiveShard(sys, separability.ExhaustiveOptions{
+		MaxViolations: maxViolations, Workers: workers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sr.Result()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
 func mustImage(b *testing.B, src string) *asm.Image {
 	b.Helper()
 	im, err := asm.Assemble(src)
@@ -637,7 +653,7 @@ func BenchmarkE18ShardedExhaustive(b *testing.B) {
 	units := float64(states * (1 + inputs))
 
 	start := time.Now()
-	serial := separability.CheckExhaustiveWorkers(build(), 8, 1)
+	serial := prove(b, build(), 8, 1)
 	serialDur := time.Since(start)
 	want := serial.Summary()
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/separability"
 )
 
 // Two regimes. RED counts; BLACK counts. They share one processor and, by
@@ -55,7 +56,7 @@ func main() {
 	// Verify: the six conditions of the paper's Appendix, checked on
 	// randomly explored reachable states with Φ-preserving perturbations.
 	fmt.Println("running Proof of Separability on the honest kernel...")
-	res := sys.Verify(core.VerifyOptions{Trials: 6, StepsPerTrial: 60, Seed: 1})
+	res := sys.Verify(separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
 	fmt.Println("  ", res.Summary())
 
 	// Now deliberately break the kernel: don't reload R5 on context
@@ -70,7 +71,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res = leaky.Verify(core.VerifyOptions{Trials: 6, StepsPerTrial: 60, Seed: 1})
+	res = leaky.Verify(separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
 	fmt.Println("  ", res.Summary())
 	if !res.Passed() {
 		fmt.Println("   first counterexample:", res.Violations[0])

@@ -9,7 +9,7 @@
 //	b.Channel("red", "black", 16)
 //	sys, err := b.Build()
 //	sys.Run(10000)
-//	report := sys.Verify(core.VerifyOptions{Seed: 1})
+//	report := sys.Verify(separability.Options{Seed: 1})
 //
 // Component-level (distributed) systems are assembled directly with the
 // distsys/workstation/snfe/guard packages; core covers the machine-level
@@ -176,29 +176,10 @@ func (s *System) Run(n int) int { return s.Kernel.Run(n) }
 // RunUntilIdle runs until every regime is dead or waiting.
 func (s *System) RunUntilIdle(max int) int { return s.Kernel.RunUntilIdle(max) }
 
-// VerifyOptions tunes Verify.
-type VerifyOptions struct {
-	Trials          int
-	StepsPerTrial   int
-	Seed            int64
-	CheckScheduling bool
-	// Workers shards trials across checker goroutines, each on a replica
-	// of the system (0 = one worker per CPU core, 1 = single-threaded;
-	// results are identical for any value).
-	Workers int
-}
-
 // Verify runs Proof of Separability against the system (rebooting it as
 // part of state-space exploration — do not interleave with Run).
-func (s *System) Verify(opt VerifyOptions) *separability.Result {
-	o := separability.Options{
-		Trials:          opt.Trials,
-		StepsPerTrial:   opt.StepsPerTrial,
-		Seed:            opt.Seed,
-		CheckScheduling: opt.CheckScheduling,
-		Workers:         opt.Workers,
-	}
-	return separability.CheckRandomized(s.Adapter, o)
+func (s *System) Verify(opt separability.Options) *separability.Result {
+	return separability.CheckRandomized(s.Adapter, opt)
 }
 
 // RegimeWord reads one word of a regime's memory (for assertions and

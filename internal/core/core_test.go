@@ -113,12 +113,12 @@ func TestBuilderVerifyHonestAndLeaky(t *testing.T) {
 			MustBuild()
 	}
 	honest := build(kernel.Leaks{})
-	res := honest.Verify(core.VerifyOptions{Trials: 4, StepsPerTrial: 50, Seed: 3})
+	res := honest.Verify(separability.Options{Trials: 4, StepsPerTrial: 50, Seed: 3})
 	if !res.Passed() {
 		t.Errorf("honest system failed verification: %s", res.Summary())
 	}
 	leaky := build(kernel.Leaks{OutputCopy: true})
-	res = leaky.Verify(core.VerifyOptions{Trials: 6, StepsPerTrial: 80, Seed: 3})
+	res = leaky.Verify(separability.Options{Trials: 6, StepsPerTrial: 80, Seed: 3})
 	if res.Passed() {
 		t.Error("OutputCopy leak passed verification")
 	} else {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/separability"
 )
 
 // The library in one example: declare two isolated regimes, run them,
@@ -29,7 +30,7 @@ loop:
 	b, _ := sys.RegimeWord("black", 0x20)
 	fmt.Println("both made progress:", r > 50 && b > 50)
 
-	honest := sys.Verify(core.VerifyOptions{Trials: 4, StepsPerTrial: 40, Seed: 1})
+	honest := sys.Verify(separability.Options{Trials: 4, StepsPerTrial: 40, Seed: 1})
 	fmt.Println("honest kernel verifies:", honest.Passed())
 
 	leaky := core.NewBuilder().
@@ -37,7 +38,7 @@ loop:
 		RegimeSized("black", count, 0x200).
 		WithLeaks(kernel.Leaks{RegisterLeak: true}).
 		MustBuild()
-	report := leaky.Verify(core.VerifyOptions{Trials: 6, StepsPerTrial: 60, Seed: 1})
+	report := leaky.Verify(separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
 	fmt.Println("register-leak kernel verifies:", report.Passed())
 	// Output:
 	// both made progress: true

@@ -194,13 +194,10 @@ func (a *Adapter) storeDigest(c model.Colour, dig uint64) {
 
 // adapterCheckpoint is the model.Checkpoint payload: the machine's delta
 // plus the kernel-level dead flag — exactly the components adapterState
-// restores on the full-snapshot path — and, for DirtyColours, the
-// checkpoint-time current regime and device version counters.
+// restores on the full-snapshot path.
 type adapterCheckpoint struct {
-	delta   *machine.Delta
-	dead    bool
-	current int
-	devVer  []uint64
+	delta *machine.Delta
+	dead  bool
 }
 
 // Checkpoint implements model.Checkpointer. Returns nil (caller falls back
@@ -211,57 +208,7 @@ func (a *Adapter) Checkpoint() model.Checkpoint {
 		return nil
 	}
 	a.ensurePhiCache()
-	cp := &adapterCheckpoint{delta: d, dead: a.K.dead, current: a.K.current()}
-	if n := len(a.K.m.Devices()); n > 0 {
-		cp.devVer = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			cp.devVer[i] = a.K.m.DeviceVersion(i)
-		}
-	}
-	return cp
-}
-
-// DirtyColours implements model.DirtyTracker over the same per-word
-// footprint masks the incremental digest cache uses: the delta journal
-// names every RAM word written since the checkpoint (rollbacks clear it),
-// each word's mask bit names the regimes whose Φ reads it, device versions
-// cover owned-device mutations, and the live-CPU contribution is covered by
-// conservatively marking the regimes that held the CPU at either end of the
-// window (a regime that was current only transiently in between has its
-// registers in its save area by now — journaled words like any other).
-func (a *Adapter) DirtyColours(cp model.Checkpoint) (uint64, bool) {
-	st, ok := cp.(*adapterCheckpoint)
-	if !ok || st.delta == nil {
-		return 0, false
-	}
-	pc := a.phi
-	k := a.K
-	m := k.m
-	if pc == nil || pc.mask == nil || !m.DeltaActive() {
-		return 0, false
-	}
-	if k.dead != st.dead {
-		// System-level liveness changed; don't reason about footprints.
-		return 0, false
-	}
-	var mask uint64
-	for _, addr := range m.DeltaAddrs() {
-		mask |= uint64(pc.mask[addr])
-	}
-	for ri := range pc.owned {
-		for _, mi := range pc.owned[ri] {
-			if m.DeviceVersion(mi) != st.devVer[mi] {
-				mask |= 1 << uint(ri)
-			}
-		}
-	}
-	if cur := st.current; cur >= 0 && cur < len(pc.entries) {
-		mask |= 1 << uint(cur)
-	}
-	if cur := k.current(); cur >= 0 && cur < len(pc.entries) {
-		mask |= 1 << uint(cur)
-	}
-	return mask, true
+	return &adapterCheckpoint{delta: d, dead: a.K.dead}
 }
 
 // Rollback implements model.Checkpointer.

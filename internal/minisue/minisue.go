@@ -8,8 +8,8 @@
 // coloured inputs, and per-regime output latches.
 //
 // The state space (73,728 states × 4 inputs; 147,456 for SharedCell, whose
-// kernel cell doubles it) is enumerated completely, so CheckExhaustive
-// constitutes a genuine proof that the six conditions hold of the secure
+// kernel cell doubles it) is enumerated completely, so the exhaustive
+// sweep constitutes a genuine proof that the six conditions hold of the secure
 // variant — and the fault-injected variants (mirroring the real kernel's
 // Leaks) are refuted with counterexamples.
 //

@@ -8,6 +8,23 @@ import (
 	"repro/internal/separability"
 )
 
+// prove runs the whole exhaustive sweep of sys on the given number of
+// workers (0 = one per CPU core) and returns its verdict, failing the test
+// on error.
+func prove(tb testing.TB, sys model.Enumerable, maxViolations, workers int) *separability.Result {
+	tb.Helper()
+	sr, err := separability.CheckExhaustiveShard(sys, separability.ExhaustiveOptions{
+		MaxViolations: maxViolations, Workers: workers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := sr.Result()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 // The headline result: the secure MiniSUE — a system with the real
 // kernel's structure (shared accumulator, save slots, interrupt flags) —
 // satisfies all six conditions over its ENTIRE state space. This is a
@@ -18,7 +35,7 @@ func TestSecureMiniSUEProvenSeparable(t *testing.T) {
 		t.Skip("exhaustive proof skipped in -short mode")
 	}
 	sys := minisue.New(minisue.Secure)
-	res := separability.CheckExhaustive(sys, 0)
+	res := prove(t, sys, 0, 0)
 	if !res.Passed() {
 		for i, v := range res.Violations {
 			if i > 4 {
@@ -65,7 +82,7 @@ func TestInsecureVariantsRefuted(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(minisue.VariantName(tc.v), func(t *testing.T) {
 			sys := minisue.New(tc.v)
-			res := separability.CheckExhaustive(sys, 0)
+			res := prove(t, sys, 0, 0)
 			if res.Passed() {
 				t.Fatalf("insecure variant %s passed the exhaustive check",
 					minisue.VariantName(tc.v))

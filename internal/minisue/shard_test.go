@@ -30,7 +30,7 @@ func TestMiniSUEShardWorkerInvariance(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() model.Enumerable { return minisue.New(tc.variant) }
-			base := separability.CheckExhaustiveWorkers(build(), 6, 1)
+			base := prove(t, build(), 6, 1)
 			for _, cut := range []struct{ shards, workers int }{
 				{1, 4}, {2, 1}, {2, 4}, {4, 1}, {4, 4},
 			} {

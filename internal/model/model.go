@@ -162,9 +162,10 @@ type Checkpoint interface{}
 
 // Checkpointer is optionally implemented by systems that can roll back to a
 // recent point in O(state actually touched) instead of the O(whole state)
-// that Save/Restore costs. The checkers anchor every per-state condition
-// sweep on a Checkpoint when one is available and fall back to Save/Restore
-// otherwise; both paths must produce identical observable behaviour.
+// that Save/Restore costs. The randomized checker anchors every per-state
+// condition sweep on a Checkpoint when one is available and falls back to
+// Save/Restore otherwise; both paths must produce identical observable
+// behaviour.
 type Checkpointer interface {
 	// Checkpoint begins tracking mutations from the current state and
 	// returns a handle for rolling back to it. It returns nil when delta
@@ -179,19 +180,10 @@ type Checkpointer interface {
 	Release(Checkpoint)
 }
 
-// DirtyTracker is an optional refinement of Checkpointer: it reports which
-// colours' abstractions MAY have changed since the given checkpoint was
-// taken (or since the most recent Rollback to it). The mask is indexed by
-// the position of each colour in Colours(): a CLEAR bit ci is a proof that
-// Φ^c for Colours()[ci] is byte-identical to its checkpoint-time value; a
-// set bit promises nothing. ok=false means the tracker cannot answer for
-// this checkpoint (the caller must treat every colour as dirty).
-//
-// The exhaustive checker uses this to skip whole digest passes: after
-// stepping or applying an input from a checkpointed state, colours the
-// mutation provably never touched reuse the checkpoint-time digest.
-// Implementations must therefore be conservative in exactly one direction —
-// over-marking wastes a recompute, under-marking corrupts verdicts.
+// DirtyTracker is what remains of a removed footprint shortcut in the
+// exhaustive checker: nothing implements it and no checker consults it. It
+// is kept for bench/, which compiles against it; drop it together with its
+// uses there.
 type DirtyTracker interface {
 	DirtyColours(cp Checkpoint) (mask uint64, ok bool)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/obs"
+	"repro/internal/separability"
 )
 
 // The two-regime demo from cmd/seprun, duplicated here so the golden trace
@@ -194,7 +195,7 @@ func TestTracerDoesNotPerturbDigests(t *testing.T) {
 	}
 
 	// Verification outcome must be byte-identical with the tracer attached.
-	vo := core.VerifyOptions{Trials: 4, StepsPerTrial: 50, Seed: 3, Workers: 1}
+	vo := separability.Options{Trials: 4, StepsPerTrial: 50, Seed: 3, Workers: 1}
 	bareRes := buildDemo(t).Verify(vo)
 	tsys := buildDemo(t)
 	tsys.SetTracer(obs.NewRing(1024))

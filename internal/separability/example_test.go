@@ -7,15 +7,26 @@ import (
 )
 
 // Exhaustive checking of a small system is a proof: every state and input
-// is visited and all six conditions verified universally.
-func ExampleCheckExhaustive() {
-	secure := separability.NewToySystem(separability.ToySecure)
-	fmt.Println(separability.CheckExhaustive(secure, 0).Passed())
-
-	leaky := separability.NewToySystem(separability.ToyDirectWrite)
-	res := separability.CheckExhaustive(leaky, 0)
-	fmt.Println(res.Passed())
-	fmt.Println(res.ViolatedConditions())
+// is visited and all six conditions verified universally. Leaving the shard
+// options zero sweeps the whole space as one shard.
+func ExampleCheckExhaustiveShard() {
+	for _, v := range []separability.ToyVariant{separability.ToySecure, separability.ToyDirectWrite} {
+		sr, err := separability.CheckExhaustiveShard(separability.NewToySystem(v),
+			separability.ExhaustiveOptions{})
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		res, err := sr.Result()
+		if err != nil {
+			fmt.Println(err)
+			return
+		}
+		fmt.Println(res.Passed())
+		if !res.Passed() {
+			fmt.Println(res.ViolatedConditions())
+		}
+	}
 	// Output:
 	// true
 	// false

@@ -73,32 +73,11 @@ type stateInfo struct {
 	inEx   [][]uint64 // [input][colour] digest of EXTRACT(c, i)
 }
 
-// CheckExhaustive verifies the six conditions universally over every state
-// and input an Enumerable system yields. For a system whose enumerator
-// covers its whole (reachable) state space this constitutes a proof of
-// separability by explicit-state model checking.
-//
-// When the system implements model.Replicable, the sweep is sharded across
-// GOMAXPROCS worker goroutines, each on a private replica; the result is
-// identical to the single-threaded check. Use CheckExhaustiveWorkers to pin
-// the worker count.
-func CheckExhaustive(sys model.Enumerable, maxViolations int) *Result {
-	return CheckExhaustiveWorkers(sys, maxViolations, runtime.GOMAXPROCS(0))
-}
-
-// CheckExhaustiveWorkers is CheckExhaustive with an explicit worker count
-// (1 = single-threaded; 0 = one worker per CPU core). Results are identical
-// for every worker count.
-func CheckExhaustiveWorkers(sys model.Enumerable, maxViolations, workers int) *Result {
-	return CheckExhaustiveOpt(sys, ExhaustiveOptions{
-		MaxViolations: maxViolations, Workers: workers})
-}
-
 // defaultChunkSize is the per-claim state count when ExhaustiveOptions
 // leaves ChunkSize zero. It is also the checkpoint granularity.
 const defaultChunkSize = 64
 
-// ExhaustiveOptions tunes CheckExhaustiveOpt / CheckExhaustiveShard.
+// ExhaustiveOptions tunes CheckExhaustiveShard.
 type ExhaustiveOptions struct {
 	// MaxViolations caps how many counterexamples are collected PER
 	// CONDITION (0 = 64), so every violated condition surfaces even when
@@ -162,26 +141,16 @@ type ExhaustiveOptions struct {
 // configured, the partial progress has been persisted to it.
 var ErrAborted = errors.New("separability: exhaustive sweep aborted after configured chunk budget")
 
-// CheckExhaustiveOpt is the options form of CheckExhaustive, for complete
-// in-process runs. It panics on errors, which for full sweeps can only be
-// option misuse (an invalid shard spec, an unusable checkpoint file) —
-// process-level drivers that need error handling use CheckExhaustiveShard.
-func CheckExhaustiveOpt(sys model.Enumerable, opt ExhaustiveOptions) *Result {
-	sr, err := CheckExhaustiveShard(sys, opt)
-	if err != nil {
-		panic("separability: CheckExhaustiveOpt: " + err.Error())
-	}
-	res, err := sr.Result()
-	if err != nil {
-		panic("separability: CheckExhaustiveOpt: " + err.Error())
-	}
-	return res
-}
-
-// CheckExhaustiveShard runs one shard of the exhaustive sweep (the whole
-// space when Shards <= 1) and returns its sealed, content-addressed
-// ShardResult. Checkpoint resume, sharding and worker parallelism all
-// compose: the merged result is byte-identical however the sweep was cut.
+// CheckExhaustiveShard verifies the six conditions universally over every
+// state and input an Enumerable system yields — for a system whose
+// enumerator covers its whole (reachable) state space, a proof of
+// separability by explicit-state model checking. It runs one shard of the
+// sweep (the whole space when Shards <= 1) and returns its sealed,
+// content-addressed ShardResult; ShardResult.Result gives the verdict, and
+// MergeShards folds a complete shard set into the same verdict. Checkpoint
+// resume, sharding and worker parallelism (on private replicas, when the
+// system implements model.Replicable) all compose: the merged result is
+// byte-identical however the sweep was cut.
 func CheckExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardResult, error) {
 	sr, _, err := checkExhaustiveShard(sys, opt)
 	return sr, err
@@ -802,9 +771,8 @@ func replicate[S model.SharedSystem](sys S, n int) []S {
 // processes). Anchor Φ digests come from phiAnchor, the caller's pass-0
 // row, so the sweep pays only the post-op and post-input digests. All
 // extracts are stored as FNV-64 digests; canonical strings are re-derived
-// lazily on the cold violation path. The per-input resets anchor on a
-// stateScope so Checkpointer systems pay O(words touched) per reset
-// instead of a full Restore.
+// lazily on the cold violation path. Every mutation starts from a Restore
+// of ref; the system is left wherever the last one took it.
 func precomputeInto(sys model.Enumerable, ref model.StateRef,
 	colours []model.Colour, inputs []model.Input, phiAnchor []uint64, info *stateInfo) {
 
@@ -817,42 +785,24 @@ func precomputeInto(sys model.Enumerable, ref model.StateRef,
 	info.inEx = growU64Rows(info.inEx, ni, nc)
 
 	sys.Restore(ref)
-	sc := openScopeAt(sys, ref)
-	defer sc.close()
 	info.colour = sys.Colour()
 	info.op = sys.NextOp()
 	out := sys.CurrentOutput()
 	for ci, c := range colours {
 		info.outEx[ci] = model.DigestString(sys.ExtractOutput(c, out))
 	}
-	// The footprint shortcut: when the system can prove which colours a
-	// mutation touched (model.DirtyTracker over the checkpoint's write
-	// journal), untouched colours reuse the anchor digest — Φ^c is a pure
-	// function of state the mutation never wrote. Masks wider than 64
-	// colours cannot be represented; such systems take the full sweeps.
-	wide := nc > 64
 	sys.Step()
-	opMask, opOK := sc.dirty()
 	for ci, c := range colours {
-		if opOK && !wide && opMask&(1<<uint(ci)) == 0 {
-			info.phiOp[ci] = info.phi[ci]
-		} else {
-			info.phiOp[ci] = model.AbstractDigest(sys, c)
-		}
+		info.phiOp[ci] = model.AbstractDigest(sys, c)
 	}
 	for ii, in := range inputs {
-		sc.reset()
+		sys.Restore(ref)
 		for ci, c := range colours {
 			info.inEx[ii][ci] = model.DigestString(sys.ExtractInput(c, in))
 		}
 		sys.ApplyInput(in)
-		inMask, inOK := sc.dirty()
 		for ci, c := range colours {
-			if inOK && !wide && inMask&(1<<uint(ci)) == 0 {
-				info.phiIn[ii][ci] = info.phi[ci]
-			} else {
-				info.phiIn[ii][ci] = model.AbstractDigest(sys, c)
-			}
+			info.phiIn[ii][ci] = model.AbstractDigest(sys, c)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func TestCheckRandomizedWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// CheckExhaustive must be a pure function of the system, independent of
+// The exhaustive verdict must be a pure function of the system, independent of
 // how many workers shard the state sweep and the per-colour passes.
 func TestCheckExhaustiveWorkerDeterminism(t *testing.T) {
 	variants := []separability.ToyVariant{
@@ -67,9 +67,9 @@ func TestCheckExhaustiveWorkerDeterminism(t *testing.T) {
 	}
 	for _, v := range variants {
 		name := separability.ToyVariantName(v)
-		serial := separability.CheckExhaustiveWorkers(separability.NewToySystem(v), 0, 1)
+		serial := prove(t, separability.NewToySystem(v), 0, 1)
 		for _, workers := range []int{2, 4} {
-			par := separability.CheckExhaustiveWorkers(separability.NewToySystem(v), 0, workers)
+			par := prove(t, separability.NewToySystem(v), 0, workers)
 			requireIdentical(t, serial, par, name)
 		}
 	}
@@ -150,8 +150,8 @@ func TestToyCloneIndependence(t *testing.T) {
 // the engines can merge worker-private results deterministically.
 func TestResultMerge(t *testing.T) {
 	bad := separability.NewToySystem(separability.ToyDirectWrite)
-	a := separability.CheckExhaustive(bad, 3)
-	b := separability.CheckExhaustive(separability.NewToySystem(separability.ToySecure), 0)
+	a := prove(t, bad, 3, 0)
+	b := prove(t, separability.NewToySystem(separability.ToySecure), 0, 0)
 	var merged separability.Result
 	merged.Merge(a)
 	merged.Merge(b)

@@ -16,12 +16,7 @@ type stateScope struct {
 }
 
 // openScope anchors at the system's current state.
-func openScope(sys model.SharedSystem) stateScope { return openScopeAt(sys, nil) }
-
-// openScopeAt anchors at the system's current state; ref, when non-nil, is
-// an existing StateRef of that same state, reused to avoid a redundant
-// Save on the fallback path.
-func openScopeAt(sys model.SharedSystem, ref model.StateRef) stateScope {
+func openScope(sys model.SharedSystem) stateScope {
 	sc := stateScope{sys: sys}
 	if ckp, ok := sys.(model.Checkpointer); ok {
 		if cp := ckp.Checkpoint(); cp != nil {
@@ -29,26 +24,8 @@ func openScopeAt(sys model.SharedSystem, ref model.StateRef) stateScope {
 			return sc
 		}
 	}
-	if ref == nil {
-		ref = sys.Save()
-	}
-	sc.ref = ref
+	sc.ref = sys.Save()
 	return sc
-}
-
-// dirty consults the system's DirtyTracker for the set of colours possibly
-// mutated since the anchor (or the most recent reset): bit ci covers
-// Colours()[ci]. ok=false — no checkpoint, no tracker, or the tracker
-// declined — means the caller must assume everything is dirty.
-func (sc *stateScope) dirty() (uint64, bool) {
-	if sc.ckp == nil {
-		return 0, false
-	}
-	dt, ok := sc.sys.(model.DirtyTracker)
-	if !ok {
-		return 0, false
-	}
-	return dt.DirtyColours(sc.cp)
 }
 
 func (sc *stateScope) reset() {

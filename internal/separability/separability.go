@@ -3,15 +3,15 @@
 // paper's Appendix against any system implementing the interfaces of
 // package model.
 //
-// Two drivers are provided. CheckExhaustive visits every state and input of
-// an Enumerable system and verifies the conditions universally — for toy
-// systems this *is* a proof, by explicit-state model checking. The real
-// SM11/SUE-Go system has far too many states for that, so CheckRandomized
-// verifies the conditions on sampled reachable states, using the system's
-// PerturbOutside operation to construct the Φ-equivalent state pairs the
-// pairwise conditions quantify over. A randomized check is testing rather
-// than proof, but every violation it reports is a genuine one, with a
-// counterexample.
+// Two drivers are provided. CheckExhaustiveShard visits every state and
+// input of an Enumerable system and verifies the conditions universally —
+// for toy systems this *is* a proof, by explicit-state model checking. The
+// real SM11/SUE-Go system has far too many states for that, so
+// CheckRandomized verifies the conditions on sampled reachable states,
+// using the system's PerturbOutside operation to construct the Φ-equivalent
+// state pairs the pairwise conditions quantify over. A randomized check is
+// testing rather than proof, but every violation it reports is a genuine
+// one, with a counterexample.
 //
 // The six conditions, restated operationally (see model's package comment
 // for the setting):
@@ -218,8 +218,6 @@ type Options struct {
 	InputEvery int
 	// CheckScheduling enables the scheduling-independence extension.
 	CheckScheduling bool
-	// Colours restricts checking to these colours (nil = all).
-	Colours []model.Colour
 	// Workers shards the trials across this many checker goroutines: the
 	// caller's system plus Workers-1 private replicas (1 = single-threaded;
 	// 0 = one worker per CPU core, runtime.GOMAXPROCS(0)).
@@ -248,12 +246,6 @@ type Options struct {
 // trialSecondsBounds buckets per-trial wall time from 100µs to ~100s.
 var trialSecondsBounds = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10, 100}
 
-// DefaultOptions returns options balanced for CI-speed checking of the
-// SUE-Go kernel configurations used in the test suite.
-func DefaultOptions(seed int64) Options {
-	return Options{Trials: 6, StepsPerTrial: 60, Seed: seed}
-}
-
 func (o *Options) fill() {
 	if o.Trials == 0 {
 		o.Trials = 6
@@ -281,10 +273,7 @@ func (o *Options) fill() {
 // merged Result is byte-identical for every worker count.
 func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 	opt.fill()
-	colours := opt.Colours
-	if colours == nil {
-		colours = sys.Colours()
-	}
+	colours := sys.Colours()
 	if replicas := replicate(sys, min(opt.Workers, opt.Trials)); len(replicas) > 1 {
 		return runTrialsParallel(replicas, opt, colours)
 	}

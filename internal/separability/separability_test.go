@@ -4,12 +4,30 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/model"
 	"repro/internal/separability"
 )
 
+// prove runs the whole exhaustive sweep of sys on the given number of
+// workers (0 = one per CPU core) and returns its verdict, failing the test
+// on error.
+func prove(tb testing.TB, sys model.Enumerable, maxViolations, workers int) *separability.Result {
+	tb.Helper()
+	sr, err := separability.CheckExhaustiveShard(sys, separability.ExhaustiveOptions{
+		MaxViolations: maxViolations, Workers: workers})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	res, err := sr.Result()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
 func TestToySecureExhaustivePasses(t *testing.T) {
 	sys := separability.NewToySystem(separability.ToySecure)
-	res := separability.CheckExhaustive(sys, 0)
+	res := prove(t, sys, 0, 0)
 	if !res.Passed() {
 		t.Fatalf("secure toy system failed exhaustive check: %s", res.Summary())
 	}
@@ -26,7 +44,7 @@ func TestToyVariantsCaughtExhaustive(t *testing.T) {
 		name := separability.ToyVariantName(variant)
 		t.Run(name, func(t *testing.T) {
 			sys := separability.NewToySystem(variant)
-			res := separability.CheckExhaustive(sys, 0)
+			res := prove(t, sys, 0, 0)
 			if res.Passed() {
 				t.Fatalf("insecure variant %s passed the exhaustive check", name)
 			}
@@ -88,12 +106,12 @@ func TestToyVariantsCaughtRandomized(t *testing.T) {
 
 func TestResultSummaryFormats(t *testing.T) {
 	sys := separability.NewToySystem(separability.ToySecure)
-	res := separability.CheckExhaustive(sys, 0)
+	res := prove(t, sys, 0, 0)
 	if got := res.Summary(); len(got) == 0 || got[:4] != "PASS" {
 		t.Errorf("summary = %q, want PASS...", got)
 	}
 	bad := separability.NewToySystem(separability.ToyDirectWrite)
-	res = separability.CheckExhaustive(bad, 0)
+	res = prove(t, bad, 0, 0)
 	if got := res.Summary(); len(got) == 0 || got[:4] != "FAIL" {
 		t.Errorf("summary = %q, want FAIL...", got)
 	}
@@ -104,7 +122,7 @@ func TestResultSummaryFormats(t *testing.T) {
 // catches must still surface under a tight cap.
 func TestMaxViolationsCapsPerCondition(t *testing.T) {
 	bad := separability.NewToySystem(separability.ToyDirectWrite)
-	res := separability.CheckExhaustive(bad, 5)
+	res := prove(t, bad, 5, 0)
 	perCond := map[separability.Condition]int{}
 	for _, v := range res.Violations {
 		perCond[v.Condition]++
@@ -114,9 +132,9 @@ func TestMaxViolationsCapsPerCondition(t *testing.T) {
 			t.Errorf("collected %d violations for %s, cap was 5", n, c)
 		}
 	}
-	full := separability.CheckExhaustive(separability.NewToySystem(separability.ToyDirectWrite), 1<<20)
+	full := prove(t, separability.NewToySystem(separability.ToyDirectWrite), 1<<20, 0)
 	want := full.ViolatedConditions()
-	got := separability.CheckExhaustive(separability.NewToySystem(separability.ToyDirectWrite), 1).ViolatedConditions()
+	got := prove(t, separability.NewToySystem(separability.ToyDirectWrite), 1, 0).ViolatedConditions()
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("cap 1 lost conditions: got %v, uncapped %v", got, want)
 	}

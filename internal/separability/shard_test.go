@@ -52,7 +52,7 @@ func TestShardWorkerInvarianceMatrix(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() model.Enumerable { return separability.NewToySystem(tc.variant) }
-			base := separability.CheckExhaustiveWorkers(build(), 6, 1)
+			base := prove(t, build(), 6, 1)
 			for _, shards := range []int{1, 2, 4} {
 				for _, workers := range []int{1, 4} {
 					got := runSharded(t, build, shards, workers, 6)
@@ -325,8 +325,7 @@ func TestWorkersClampedToChunks(t *testing.T) {
 	if got := n.Load(); got > 1 {
 		t.Errorf("made %d clones for a 2-chunk sweep with 8 requested workers, want <= 1", got)
 	}
-	base := separability.CheckExhaustiveWorkers(
-		separability.NewToySystem(separability.ToyDirectWrite), 4, 1)
+	base := prove(t, separability.NewToySystem(separability.ToyDirectWrite), 4, 1)
 	got, err := res.Result()
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +342,7 @@ func TestWorkersClampedToChunks(t *testing.T) {
 // the direct run.
 func TestConcurrentShardsMerge(t *testing.T) {
 	build := func() model.Enumerable { return separability.NewToySystem(separability.ToyInputCross) }
-	base := separability.CheckExhaustiveWorkers(build(), 6, 1)
+	base := prove(t, build(), 6, 1)
 	const shards = 4
 	srs := make([]*separability.ShardResult, shards)
 	var wg sync.WaitGroup

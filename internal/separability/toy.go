@@ -9,8 +9,8 @@ import (
 // ToyVariant selects the behaviour of a ToySystem: one secure reference
 // and a family of planted insecurities, each engineered to violate exactly
 // one of the six conditions. The toy system is small enough (1024 states,
-// 4 inputs) for CheckExhaustive to constitute a real proof, which makes it
-// the calibration standard for the checker itself.
+// 4 inputs) for the exhaustive sweep to constitute a real proof, which
+// makes it the calibration standard for the checker itself.
 type ToyVariant int
 
 // Toy system variants.

@@ -75,10 +75,7 @@ func (r *stepRand) Intn(n int) int {
 // would, so the stream stays aligned even though no colour is checked.
 func WalkTrial(sys model.Perturbable, opt Options, trial int, visit func(step int, in model.Input) bool) {
 	opt.fill()
-	colours := opt.Colours
-	if colours == nil {
-		colours = sys.Colours()
-	}
+	colours := sys.Colours()
 	walk := rand.New(rand.NewSource(trialSeed(opt.Seed, trial)))
 	sys.Randomize(walk)
 	for step := 0; step < opt.StepsPerTrial; step++ {
