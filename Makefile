@@ -57,14 +57,14 @@ trace-smoke:
 # condition/colour/digest pair on a freshly built system, and the shrinker
 # must have dropped ops overall.
 # Artifacts land in witness-smoke/ for CI upload. sepverify exits 0 here:
-# with -leak, catching the leak is the expected outcome.
+# a planted-leak deployment's registered verdict is to be caught.
 witness-smoke:
 	rm -rf witness-smoke
-	$(GO) run ./cmd/sepverify -leak RegisterLeak -seed 99 -witness-dir witness-smoke > witness-smoke-verify.txt 2>&1
-	$(GO) run ./cmd/sepverify -leak SharedScratch -seed 99 -witness-dir witness-smoke >> witness-smoke-verify.txt 2>&1
+	$(GO) run ./cmd/sepverify -target leak-RegisterLeak -seed 99 -witness-dir witness-smoke > witness-smoke-verify.txt 2>&1
+	$(GO) run ./cmd/sepverify -target leak-SharedScratch -seed 99 -witness-dir witness-smoke >> witness-smoke-verify.txt 2>&1
 	mv witness-smoke-verify.txt witness-smoke/verify.txt
-	$(GO) run ./cmd/sepwitness -dir witness-smoke/RegisterLeak -require-shrink replay
-	$(GO) run ./cmd/sepwitness -dir witness-smoke/SharedScratch -require-shrink replay
+	$(GO) run ./cmd/sepwitness -dir witness-smoke/leak-RegisterLeak -require-shrink replay
+	$(GO) run ./cmd/sepwitness -dir witness-smoke/leak-SharedScratch -require-shrink replay
 	@echo "witness-smoke: all witnesses replayed from artifacts"
 
 # Flow-triage smoke (E17): capture a witness store from the RegisterLeak
@@ -73,12 +73,12 @@ witness-smoke:
 # planted leak realizes — must come back CONFIRMED; the passing dynamic
 # check dismisses the other six as SPURIOUS and nothing may stay
 # UNDECIDED. Artifacts land in flow-smoke/ for CI upload. sepverify exits
-# 0 here: with -leak, catching the leak is the expected outcome.
+# 0 here: a planted-leak deployment's registered verdict is to be caught.
 flow-smoke:
 	rm -rf flow-smoke
-	$(GO) run ./cmd/sepverify -leak RegisterLeak -seed 99 -witness-dir flow-smoke > flow-smoke-verify.txt 2>&1
+	$(GO) run ./cmd/sepverify -target leak-RegisterLeak -seed 99 -witness-dir flow-smoke > flow-smoke-verify.txt 2>&1
 	mv flow-smoke-verify.txt flow-smoke/verify.txt
-	$(GO) run ./cmd/sepflow -swap -dynamic -triage -witness-dir flow-smoke/RegisterLeak > flow-smoke/triage.txt
+	$(GO) run ./cmd/sepflow -swap -dynamic -triage -witness-dir flow-smoke/leak-RegisterLeak > flow-smoke/triage.txt
 	grep -q '1 CONFIRMED, 6 SPURIOUS, 0 UNDECIDED (100% classified)' flow-smoke/triage.txt
 	grep 'witness ' flow-smoke/triage.txt | grep CONFIRMED | grep -q 'r5'
 	$(GO) run ./cmd/sepflow -swap -dynamic -triage > flow-smoke/triage-clean.txt
@@ -98,7 +98,7 @@ fleet-smoke:
 	mkdir -p fleet-smoke/bin
 	$(GO) build -o fleet-smoke/bin/sepverify ./cmd/sepverify
 	$(GO) build -o fleet-smoke/bin/sepfleet ./cmd/sepfleet
-	fleet-smoke/bin/sepverify -exhaustive -target minisue:register-leak > fleet-smoke/direct.txt
+	fleet-smoke/bin/sepverify -target minisue:register-leak > fleet-smoke/direct.txt
 	fleet-smoke/bin/sepfleet -target minisue:register-leak -shards 2 -dir fleet-smoke/work \
 		-throttle 3ms -checkpoint-every 1 -poll 50ms -kill-once 0@3 \
 		> fleet-smoke/fleet.txt 2> fleet-smoke/fleet.log

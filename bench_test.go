@@ -636,7 +636,7 @@ func mustImage(b *testing.B, src string) *asm.Image {
 // MiniSUE proof (E10's scaling story at process granularity): the chunked
 // state space is cut into N shards, each swept by an independent checker
 // instance on its own system — the in-process analogue of N
-// `sepverify -exhaustive -shard k/n` worker processes — and the shard
+// `sepverify -target T -shard k/n` worker processes — and the shard
 // results merged. The merged verdict must be byte-identical to the
 // unsharded single-threaded sweep. units/s counts check units (one state's
 // op pass or one input pass); speedup-x is wall clock versus the serial

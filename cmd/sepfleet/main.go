@@ -4,7 +4,7 @@
 //	sepfleet -target minisue:register-leak -shards 4
 //
 // The coordinator computes the deterministic chunk partition for the
-// target, spawns one `sepverify -exhaustive -target T -shard k/n` process
+// target, spawns one `sepverify -target T -shard k/n` process
 // per shard (each writing a content-addressed shard-result file and a
 // resumable checkpoint), watches the checkpoint files for progress, and
 // restarts any worker that dies — the replacement resumes from the dead
@@ -21,10 +21,9 @@
 //	sepfleet -kill-once 0@2       # SIGKILL shard 0 once it has folded 2 chunks
 //	sepfleet -throttle 5ms        # slow workers down (demo/test lever)
 //
-// Exit status is 0 when the merged verdict matches expectation (the target
-// registry's, or -expect pass|fail), 1 on an unexpected verdict, 2 on
-// operational failure (a shard exhausting its restart budget, unusable
-// artifacts, bad flags).
+// Exit status is 0 when the merged verdict matches the target registry's
+// expected verdict, 1 on an unexpected verdict, 2 on operational failure
+// (a shard exhausting its restart budget, unusable artifacts, bad flags).
 package main
 
 import (
@@ -49,7 +48,7 @@ func main() {
 }
 
 func realMain() int {
-	target := flag.String("target", "", "registered exhaustive target to sweep (required; see sepverify -exhaustive -target)")
+	target := flag.String("target", "", "registered exhaustive target to sweep (required; see sepverify -list)")
 	shards := flag.Int("shards", 2, "worker processes / shards to partition the sweep across")
 	workers := flag.Int("workers", 0, "checker goroutines per worker process (0 = one per core)")
 	dir := flag.String("dir", "", "directory for shard artifacts, checkpoints and worker logs (default: a fresh temp dir)")
@@ -59,12 +58,10 @@ func realMain() int {
 	stall := flag.Duration("stall", 0, "kill and restart a worker whose checkpoint frontier stalls this long (0 = never)")
 	maxRestarts := flag.Int("max-restarts", 3, "restarts allowed per shard before the fleet gives up")
 	maxViolations := flag.Int("max-violations", 8, "counterexamples collected per condition")
-	chunk := flag.Int("chunk", 0, "states per chunk (0 = worker default); identical across the fleet by construction")
 	ckEvery := flag.Int("checkpoint-every", 0, "worker checkpoint cadence in folded chunks (0 = worker default)")
 	throttle := flag.Duration("throttle", 0, "per-chunk delay passed to workers (demo/test lever)")
 	killOnce := flag.String("kill-once", "",
 		"K@F: SIGKILL shard K's worker once its checkpoint shows F folded chunks (fault-injection demo)")
-	expect := flag.String("expect", "", "pass|fail: override the expected verdict (default: the target registry's)")
 	flag.Parse()
 
 	if *target == "" {
@@ -74,17 +71,6 @@ func realMain() int {
 	t, err := verifysys.FindExhaustiveTarget(*target)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sepfleet:", err)
-		return 2
-	}
-	expectSecure := t.Secure
-	switch *expect {
-	case "":
-	case "pass":
-		expectSecure = true
-	case "fail":
-		expectSecure = false
-	default:
-		fmt.Fprintf(os.Stderr, "sepfleet: bad -expect %q (want pass or fail)\n", *expect)
 		return 2
 	}
 	if *shards < 1 {
@@ -117,33 +103,26 @@ func realMain() int {
 	// enumerating the target once: per-shard chunk ranges give resumed-aware
 	// progress accounting and an ETA without any worker cooperation.
 	sys := t.Build()
-	states := 0
-	sys.EnumerateStates(func(model.StateRef) bool { states++; return true })
-	inputs := 0
-	sys.EnumerateInputs(func(model.Input) bool { inputs++; return true })
-	chunkSize := *chunk
-	if chunkSize <= 0 {
-		chunkSize = 64
-	}
-	nChunks := (states + chunkSize - 1) / chunkSize
+	part := separability.ShardParams{Shards: *shards, ChunkSize: separability.DefaultChunkSize}
+	sys.EnumerateStates(func(model.StateRef) bool { part.States++; return true })
+	sys.EnumerateInputs(func(model.Input) bool { part.Inputs++; return true })
 
 	f := &fleet{
 		target: *target, shards: *shards, dir: workDir, bin: bin,
-		workers: *workers, chunk: *chunk, ckEvery: *ckEvery,
+		workers: *workers, ckEvery: *ckEvery,
 		maxViolations: *maxViolations, maxRestarts: *maxRestarts,
 		throttle: *throttle, poll: *poll, stall: *stall,
 		killShard: killShard, killAfter: killAfter,
-		states: states, chunkSize: chunkSize, nChunks: nChunks,
-		unitsPerState: 1 + inputs,
-		reg:           obs.NewRegistry(),
-		frontiers:     make([]int, *shards),
+		part:      part,
+		reg:       obs.NewRegistry(),
+		frontiers: make([]int, *shards),
 	}
 	start := time.Now()
 	f.lastAdvance = make([]time.Time, *shards)
 	f.frontierG = make([]*obs.Gauge, *shards)
 	f.ageG = make([]*obs.Gauge, *shards)
 	for k := 0; k < *shards; k++ {
-		lo, _ := shardChunkRange(k, *shards, nChunks)
+		lo, _ := part.ChunkRange(k)
 		f.frontiers[k] = lo
 		f.lastAdvance[k] = start
 		f.frontierG[k] = f.reg.Gauge(fmt.Sprintf("sep_fleet_shard_frontier{shard=%q}", strconv.Itoa(k)))
@@ -166,7 +145,7 @@ func realMain() int {
 	}
 
 	fmt.Fprintf(os.Stderr, "sepfleet: target %s: %d states x %d inputs, %d chunks across %d shards (dir %s)\n",
-		*target, states, inputs, nChunks, *shards, workDir)
+		*target, part.States, part.Inputs, part.NChunks(), *shards, workDir)
 
 	stopProgress := f.startProgress()
 	var wg sync.WaitGroup
@@ -202,7 +181,7 @@ func realMain() int {
 		return 2
 	}
 	verdict := "as expected"
-	good := res.Passed() == expectSecure
+	good := res.Passed() == t.Secure
 	if !good {
 		verdict = "UNEXPECTED"
 	}
@@ -223,7 +202,6 @@ type fleet struct {
 	dir           string
 	bin           string
 	workers       int
-	chunk         int
 	ckEvery       int
 	maxViolations int
 	maxRestarts   int
@@ -231,10 +209,8 @@ type fleet struct {
 	poll          time.Duration
 	stall         time.Duration
 
-	states        int
-	chunkSize     int
-	nChunks       int
-	unitsPerState int
+	// part is the chunk partition the workers sweep.
+	part separability.ShardParams
 
 	reg         *obs.Registry
 	restartsCnt *obs.Counter
@@ -250,9 +226,9 @@ type fleet struct {
 	mu          sync.Mutex
 	frontiers   []int // absolute checkpoint frontier per shard
 	lastAdvance []time.Time
-	killShard int   // -1 = no fault injection
-	killAfter int
-	killDone  bool
+	killShard   int // -1 = no fault injection
+	killAfter   int
+	killDone    bool
 }
 
 func (f *fleet) shardOutPath(k int) string {
@@ -277,15 +253,12 @@ func (f *fleet) runShard(k int) error {
 		if err != nil {
 			return err
 		}
-		args := []string{"-exhaustive", "-target", f.target,
+		args := []string{"-target", f.target,
 			"-shard", fmt.Sprintf("%d/%d", k, f.shards),
 			"-shard-out", f.shardOutPath(k), "-checkpoint", f.checkpointPath(k),
 			"-max-violations", strconv.Itoa(f.maxViolations)}
 		if f.workers != 0 {
 			args = append(args, "-workers", strconv.Itoa(f.workers))
-		}
-		if f.chunk != 0 {
-			args = append(args, "-chunk", strconv.Itoa(f.chunk))
 		}
 		if f.ckEvery != 0 {
 			args = append(args, "-checkpoint-every", strconv.Itoa(f.ckEvery))
@@ -379,14 +352,15 @@ func (f *fleet) startProgress() (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	start := time.Now()
-	totalUnits := uint64(f.states) * uint64(f.unitsPerState)
+	unitsPerState := uint64(f.part.UnitsPerState())
+	totalUnits := uint64(f.part.States) * unitsPerState
 	lastUnits := uint64(0)
 	line := func() {
 		f.mu.Lock()
 		units := uint64(0)
 		for k, fr := range f.frontiers {
-			lo, _ := shardChunkRange(k, f.shards, f.nChunks)
-			units += uint64(chunkRangeStates(lo, fr, f.chunkSize, f.states)) * uint64(f.unitsPerState)
+			lo, _ := f.part.ChunkRange(k)
+			units += uint64(f.part.StatesIn(lo, fr)) * unitsPerState
 			// Keep the age gauge moving even when the worker writes no
 			// checkpoints at all — that is exactly the stall to surface.
 			f.ageG[k].Set(time.Since(f.lastAdvance[k]).Seconds())
@@ -428,28 +402,6 @@ func (f *fleet) startProgress() (stop func()) {
 		close(done)
 		<-finished
 	}
-}
-
-// shardChunkRange is the fleet's copy of the worker partition function:
-// shard k of n covers chunk range [k*nChunks/n, (k+1)*nChunks/n).
-func shardChunkRange(k, n, nChunks int) (lo, hi int) {
-	return k * nChunks / n, (k + 1) * nChunks / n
-}
-
-// chunkRangeStates counts the states covered by chunk range [lo, hi).
-func chunkRangeStates(lo, hi, chunkSize, states int) int {
-	a := lo * chunkSize
-	if a > states {
-		a = states
-	}
-	b := hi * chunkSize
-	if b > states {
-		b = states
-	}
-	if b < a {
-		return 0
-	}
-	return b - a
 }
 
 // parseKillOnce parses a "-kill-once K@F" spec into (shard, folded-chunk

@@ -38,49 +38,6 @@ func TestParseKillOnce(t *testing.T) {
 	}
 }
 
-// The fleet's partition must tile the chunk space exactly: contiguous,
-// disjoint, complete — for any shard count, including more shards than
-// chunks.
-func TestShardChunkRangeTiles(t *testing.T) {
-	for _, nChunks := range []int{0, 1, 5, 16, 1152} {
-		for _, n := range []int{1, 2, 3, 4, 7, 20} {
-			prev := 0
-			for k := 0; k < n; k++ {
-				lo, hi := shardChunkRange(k, n, nChunks)
-				if lo != prev {
-					t.Fatalf("nChunks=%d n=%d shard %d: lo=%d, want %d (gap or overlap)",
-						nChunks, n, k, lo, prev)
-				}
-				if hi < lo {
-					t.Fatalf("nChunks=%d n=%d shard %d: hi=%d < lo=%d", nChunks, n, k, hi, lo)
-				}
-				prev = hi
-			}
-			if prev != nChunks {
-				t.Fatalf("nChunks=%d n=%d: shards cover %d chunks", nChunks, n, prev)
-			}
-		}
-	}
-}
-
-func TestChunkRangeStates(t *testing.T) {
-	// 10 states, chunk size 4 -> chunks of 4, 4, 2.
-	tests := []struct {
-		lo, hi, want int
-	}{
-		{0, 0, 0}, {0, 1, 4}, {0, 2, 8}, {0, 3, 10}, {1, 3, 6}, {2, 3, 2}, {3, 3, 0},
-	}
-	for _, tc := range tests {
-		if got := chunkRangeStates(tc.lo, tc.hi, 4, 10); got != tc.want {
-			t.Errorf("chunkRangeStates(%d, %d, 4, 10) = %d, want %d", tc.lo, tc.hi, got, tc.want)
-		}
-	}
-	// A shard whose range lies entirely past the states (padding chunks).
-	if got := chunkRangeStates(5, 7, 4, 10); got != 0 {
-		t.Errorf("out-of-range chunk range counted %d states", got)
-	}
-}
-
 // The per-shard gauges must follow a real checkpoint artifact: frontier
 // tracks the folded-chunk position, and the age gauge resets on advance so
 // a stalled shard shows up as a growing age before the stall detector

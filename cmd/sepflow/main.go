@@ -20,8 +20,8 @@
 // store are CONFIRMED, flows dismissed by a passing -dynamic check are
 // SPURIOUS, the rest stay UNDECIDED:
 //
-//	sepverify -leak RegisterLeak -seed 99 -witness-dir /tmp/ws
-//	sepflow -swap -dynamic -triage -witness-dir /tmp/ws
+//	sepverify -target leak-RegisterLeak -seed 99 -witness-dir ws
+//	sepflow -swap -dynamic -triage -witness-dir ws/leak-RegisterLeak
 package main
 
 import (

@@ -1,17 +1,20 @@
-// Command sepverify runs Proof of Separability against SUE-Go kernels.
+// Command sepverify runs Proof of Separability over every system the
+// repository registers (package verifysys) and judges each verdict against
+// the registered expectation.
 //
-//	sepverify                      # verify the honest kernel (cut channels)
-//	sepverify -leak RegisterLeak   # verify a fault-injected kernel
-//	sepverify -all                 # sweep: honest + every leak variant
-//	sepverify -uncut               # show the configured channels as flows
+//	sepverify                               # every registered system, in name order
+//	sepverify -list                         # the names -target accepts
+//	sepverify -target leak-RegisterLeak     # one kernel deployment (randomized check)
+//	sepverify -target minisue:secure        # one enumerable target (exhaustive proof)
 //
-// Exhaustive (explicit-state) proofs, shardable across processes:
+// A kernel deployment (verifysys.DeploymentSpecs: the honest kernel, the
+// honest kernel with its channels uncut, one per planted leak) gets the
+// randomized check. An enumerable target (verifysys.ExhaustiveTargets, the
+// names with a ':') gets the exhaustive sweep, which is shardable across
+// processes:
 //
-//	sepverify -exhaustive                            # every registered target
-//	sepverify -exhaustive -target minisue:secure     # one registered target
-//	sepverify -exhaustive -target T -shard 1/4 \
-//	          -shard-out s1.json -checkpoint s1.ck   # one resumable shard
-//	sepverify -merge s0.json s1.json s2.json s3.json # fold shard artifacts
+//	sepverify -target T -shard 1/4 -shard-out s1.json -checkpoint s1.ck   # one resumable shard
+//	sepverify -merge s0.json s1.json s2.json s3.json                      # fold shard artifacts
 //
 // A sharded sweep writes a versioned, content-addressed shard-result file;
 // -merge folds a complete shard set into the combined verdict, which is
@@ -25,13 +28,12 @@
 //	sepverify -progress            # periodic progress lines (throughput, ETA)
 //	sepverify -cpuprofile cpu.out  # pprof profiles of the verification run
 //	sepverify -listen :9090 -pprof # live /metrics plus /debug/pprof handlers
-//	sepverify -witness-dir W       # persist replayable counterexample witnesses
+//	sepverify -witness-dir W       # persist replayable counterexample witnesses under W/<deployment>
 //
-// Exit status is 0 when the verification outcome matches expectation
-// (honest passes / leaky is caught), 1 otherwise. -exhaustive without
-// -target sweeps every registered target (MiniSUE variants and the toy
-// calibration suite) and exits 1 if any of them misses its expected
-// verdict.
+// Each checked system prints one line, `name: SUMMARY [as expected]` or
+// `[UNEXPECTED]`. Exit status is 0 when every verdict matches its
+// registered expectation (a secure system passes, an insecure one is
+// caught), 1 otherwise, and 2 on a usage or operational error.
 package main
 
 import (
@@ -43,12 +45,12 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/separability"
 	"repro/internal/verifysys"
@@ -62,30 +64,23 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("sepverify", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	leak := fs.String("leak", "", "inject one named leak (see -list)")
-	list := fs.Bool("list", false, "list the available leak names")
-	all := fs.Bool("all", false, "sweep the honest kernel and every leak variant")
-	uncut := fs.Bool("uncut", false, "verify WITHOUT cutting channels (expected to fail)")
-	trials := fs.Int("trials", 10, "random traces to explore")
+	list := fs.Bool("list", false, "list the registered names -target accepts")
+	target := fs.String("target", "",
+		"check one registered system: a kernel deployment (e.g. leak-RegisterLeak) or an exhaustive target (e.g. minisue:secure); see -list")
+	trials := fs.Int("trials", 10, "random traces to explore per kernel deployment")
 	steps := fs.Int("steps", 100, "states checked per trace")
 	seed := fs.Int64("seed", 1, "exploration seed")
 	sched := fs.Bool("sched", true, "include the scheduling-independence extension")
 	workers := fs.Int("workers", 0,
-		"checker goroutines to shard trials across; 0 = one per CPU core (results are identical for any value)")
-	exhaustive := fs.Bool("exhaustive", false,
-		"sweep every registered exhaustive target (or just -target) instead of the kernel check")
-	target := fs.String("target", "",
-		"with -exhaustive: sweep one registered enumerable target (e.g. minisue:secure; see verifysys)")
+		"checker goroutines to shard work across; 0 = one per CPU core (results are identical for any value)")
 	shardSpec := fs.String("shard", "",
-		"with -target: run only shard k/n of the chunked state space (0-based), e.g. 1/4")
+		"with an exhaustive -target: run only shard k/n of the chunked state space (0-based), e.g. 1/4")
 	shardOut := fs.String("shard-out", "",
-		"with -target: write the sealed shard-result artifact to this file")
+		"with an exhaustive -target: write the sealed shard-result artifact to this file")
 	checkpoint := fs.String("checkpoint", "",
-		"with -target: persist resumable progress to this file and resume from it when present")
+		"with an exhaustive -target: persist resumable progress to this file and resume from it when present")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in folded chunks (0 = 8)")
-	chunk := fs.Int("chunk", 0,
-		"states per work/checkpoint chunk (0 = 64); all shards of one fleet must agree")
 	maxViolations := fs.Int("max-violations", 8,
 		"counterexamples collected per condition in exhaustive sweeps")
 	throttle := fs.Duration("throttle", 0,
@@ -103,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pprofFlag := fs.Bool("pprof", false,
 		"with -listen: also serve net/http/pprof handlers under /debug/pprof/")
 	witnessDir := fs.String("witness-dir", "",
-		"capture each distinct violation as a replayable witness artifact under this directory (see sepwitness)")
+		"capture each distinct kernel-deployment violation as a replayable witness artifact under DIR/<deployment> (see sepwitness)")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 	if err := fs.Parse(args); err != nil {
@@ -113,9 +108,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	systems := registry()
 	if *list {
-		for _, name := range leakNames() {
-			fmt.Fprintln(stdout, name)
+		for _, s := range systems {
+			fmt.Fprintln(stdout, s.name)
 		}
 		return 0
 	}
@@ -128,12 +124,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *merge {
 		return runMerge(stdout, stderr, fs.Args())
 	}
-	if *target != "" && !*exhaustive {
-		fmt.Fprintln(stderr, "sepverify: -target requires -exhaustive")
+	if *target != "" {
+		i := slices.IndexFunc(systems, func(s system) bool { return s.name == *target })
+		if i < 0 {
+			fmt.Fprintf(stderr, "sepverify: unknown -target %q\n  deployments: %s\n  exhaustive targets: %s\n",
+				*target, names(systems, false), names(systems, true))
+			return 2
+		}
+		systems = systems[i : i+1]
+	}
+	exhaustiveOne := *target != "" && systems[0].enum != nil
+	if !exhaustiveOne && (*shardSpec != "" || *shardOut != "" || *checkpoint != "") {
+		fmt.Fprintln(stderr, "sepverify: -shard, -shard-out and -checkpoint require an exhaustive -target")
 		return 2
 	}
-	if *target == "" && (*shardSpec != "" || *shardOut != "" || *checkpoint != "") {
-		fmt.Fprintln(stderr, "sepverify: -shard, -shard-out and -checkpoint require -target")
+	if exhaustiveOne && *witnessDir != "" {
+		fmt.Fprintln(stderr, "sepverify: -witness-dir requires a kernel deployment, not an exhaustive target")
+		return 2
+	}
+	shard, shards, err := parseShard(*shardSpec)
+	if err != nil {
+		fmt.Fprintln(stderr, "sepverify:", err)
+		return 2
+	}
+	if *pprofFlag && *listen == "" {
+		fmt.Fprintln(stderr, "sepverify: -pprof requires -listen")
 		return 2
 	}
 
@@ -167,28 +182,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	if *pprofFlag && *listen == "" {
-		fmt.Fprintln(stderr, "sepverify: -pprof requires -listen")
-		return 2
-	}
-
 	// One registry serves -metrics, -progress and the final report; every
-	// runOne in an -all sweep accumulates into it.
+	// checked system accumulates into it.
 	var reg *obs.Registry
 	if *metrics || *progress || *listen != "" || *witnessDir != "" {
 		reg = obs.NewRegistry()
 	}
 	start := time.Now()
 	if *progress {
-		variants := uint64(1)
-		if *all {
-			variants += uint64(len(leakNames()))
+		deployments := uint64(0)
+		for _, s := range systems {
+			if s.enum == nil {
+				deployments++
+			}
 		}
-		expectStates := uint64(0)
-		if !*exhaustive {
-			expectStates = variants * uint64(*trials) * uint64(*steps)
-		}
-		stop := startProgress(stderr, reg, expectStates)
+		stop := startProgress(stderr, reg, deployments*uint64(*trials)*uint64(*steps))
 		defer stop()
 	}
 	if *listen != "" {
@@ -202,69 +210,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer shutdown()
 	}
 
-	if *exhaustive {
-		opt := separability.ExhaustiveOptions{
-			MaxViolations: *maxViolations, Workers: *workers, Metrics: reg,
-			ChunkSize: *chunk, Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
-			ChunkDelay: *throttle,
-		}
-		status := 0
-		if *target != "" {
-			status = runTargetExhaustive(stdout, stderr, *target, opt, *shardSpec, *shardOut)
-		} else {
-			for _, t := range verifysys.ExhaustiveTargets() {
-				status |= runTargetExhaustive(stdout, stderr, t.Name, opt, "", "")
-			}
-		}
-		if *metrics {
-			reportMetrics(stdout, reg, time.Since(start), *metricsFormat)
-		}
-		return status
-	}
-
-	opt := separability.Options{
+	ropt := separability.Options{
 		Trials: *trials, StepsPerTrial: *steps, Seed: *seed, CheckScheduling: *sched,
 		Workers: *workers, Metrics: reg,
 	}
-
+	xopt := separability.ExhaustiveOptions{
+		MaxViolations: *maxViolations, Workers: *workers, Metrics: reg,
+		Shard: shard, Shards: shards, Checkpoint: *checkpoint, CheckpointEvery: *checkpointEvery,
+		ChunkDelay: *throttle,
+	}
 	status := 0
-	if *all {
-		ok := true
-		if r, err := runOne(stdout, "", true, opt, true, *witnessDir); err != nil {
-			fmt.Fprintln(stderr, "sepverify:", err)
-			return 2
+	for _, s := range systems {
+		var good bool
+		var err error
+		if s.enum != nil {
+			good, err = proveTarget(stdout, stderr, *s.enum, xopt, *shardOut)
 		} else {
-			ok = r
+			good, err = checkDeployment(stdout, s.deploy, ropt, *witnessDir)
 		}
-		for _, name := range leakNames() {
-			r, err := runOne(stdout, name, true, opt, false, *witnessDir)
-			if err != nil {
-				fmt.Fprintln(stderr, "sepverify:", err)
-				return 2
-			}
-			ok = r && ok
-		}
-		if !ok {
-			status = 1
-		}
-	} else {
-		expectPass := true
-		if *leak != "" {
-			if _, found := kernel.AllLeaks()[*leak]; !found {
-				fmt.Fprintf(stderr, "sepverify: unknown leak %q (try -list)\n", *leak)
-				return 2
-			}
-			expectPass = false
-		}
-		if *uncut {
-			expectPass = false
-		}
-		ok, err := runOne(stdout, *leak, !*uncut, opt, expectPass, *witnessDir)
 		if err != nil {
 			fmt.Fprintln(stderr, "sepverify:", err)
 			return 2
 		}
-		if !ok {
+		if !good {
 			status = 1
 		}
 	}
@@ -275,59 +243,56 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return status
 }
 
-func leakNames() []string {
-	var names []string
-	for n := range kernel.AllLeaks() {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+// A system is one name -target accepts: a kernel deployment, checked by
+// the randomized checker, or an enumerable target (enum != nil), proved by
+// the exhaustive sweep. The two registries' names are disjoint: only
+// exhaustive target names contain a ':'.
+type system struct {
+	name   string
+	deploy verifysys.NamedSpec
+	enum   *verifysys.ExhaustiveTarget
 }
 
-// runOne verifies one variant: leakName names a planted leak ("" = the
-// honest kernel). With witnessDir set, every distinct violation is
-// captured, shrunk and persisted under a per-variant subdirectory.
-func runOne(stdout io.Writer, leakName string, cut bool, opt separability.Options, expectPass bool, witnessDir string) (bool, error) {
-	name := leakName
-	if name == "" {
-		name = "honest"
+// registry lists every registered deployment and exhaustive target, in
+// name order.
+func registry() []system {
+	var out []system
+	for _, d := range verifysys.DeploymentSpecs() {
+		out = append(out, system{name: d.Name, deploy: d})
 	}
-	if !cut {
-		name += " (uncut)"
+	for _, t := range verifysys.ExhaustiveTargets() {
+		out = append(out, system{name: t.Name, enum: &t})
 	}
-	spec := verifysys.SpecFor(leakName, cut, false)
-	sys, err := verifysys.FromSpec(spec)
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
+	return out
+}
+
+// names joins the registered names of one kind, for usage messages.
+func names(systems []system, exhaustive bool) string {
+	var out []string
+	for _, s := range systems {
+		if (s.enum != nil) == exhaustive {
+			out = append(out, s.name)
+		}
+	}
+	return strings.Join(out, " ")
+}
+
+// checkDeployment runs the randomized check on one registered kernel
+// deployment and judges it against the registered verdict. With
+// witnessDir set, every distinct violation is captured, shrunk and
+// persisted under witnessDir/<deployment name>.
+func checkDeployment(stdout io.Writer, d verifysys.NamedSpec, opt separability.Options, witnessDir string) (bool, error) {
+	sys, err := verifysys.FromSpec(d.Spec)
 	if err != nil {
 		return false, err
 	}
 	res := separability.CheckRandomized(sys, opt)
-	verdict := "as expected"
-	good := res.Passed() == expectPass
-	if !good {
-		verdict = "UNEXPECTED"
-	}
-	fmt.Fprintf(stdout, "%-22s %-60s [%s]\n", name+":", res.Summary(), verdict)
-	if !res.Passed() {
-		seen := map[separability.Condition]bool{}
-		for _, v := range res.Violations {
-			if seen[v.Condition] {
-				continue
-			}
-			seen[v.Condition] = true
-			fmt.Fprintf(stdout, "    %s\n", v)
-		}
-	}
+	good := printVerdict(stdout, d.Name, res, d.Secure)
 	if witnessDir != "" && !res.Passed() {
-		sub := leakName
-		if sub == "" {
-			sub = "honest"
-		}
-		if !cut {
-			sub += "-uncut"
-		}
-		dir := filepath.Join(witnessDir, sub)
+		dir := filepath.Join(witnessDir, d.Name)
 		ws, err := witness.Capture(sys, opt, res, witness.Options{
-			Dir: dir, Metrics: opt.Metrics, System: spec})
+			Dir: dir, Metrics: opt.Metrics, System: d.Spec})
 		if err != nil {
 			return false, fmt.Errorf("witness capture: %w", err)
 		}
@@ -339,6 +304,47 @@ func runOne(stdout io.Writer, leakName string, cut bool, opt separability.Option
 			len(ws), dir, dropped)
 	}
 	return good, nil
+}
+
+// proveTarget sweeps one registered enumerable target — or one shard of it
+// — optionally persisting the sealed shard artifact and a resumable
+// checkpoint. A single-shard run is judged against the target's registered
+// verdict; a k/n shard carries no verdict of its own (the leak may live in
+// another shard) and counts as good unless the sweep itself failed.
+func proveTarget(stdout, stderr io.Writer, t verifysys.ExhaustiveTarget, opt separability.ExhaustiveOptions, shardOut string) (bool, error) {
+	opt.Target = t.Name
+	// Announce an adopted checkpoint before the sweep so supervisors (and
+	// the fleet-smoke test) can observe that a restarted worker actually
+	// resumed instead of starting over.
+	if opt.Checkpoint != "" {
+		ck, err := separability.ReadShardCheckpoint(opt.Checkpoint)
+		if err != nil {
+			return false, err
+		}
+		if ck != nil {
+			fmt.Fprintf(stderr, "sepverify: resumed shard %d/%d of %s from %s (frontier %d of chunks [%d,%d))\n",
+				ck.Shard, ck.Shards, t.Name, opt.Checkpoint, ck.Frontier, ck.StartChunk, ck.EndChunk)
+		}
+	}
+	sr, err := separability.CheckExhaustiveShard(t.Build(), opt)
+	if err != nil {
+		return false, err
+	}
+	if shardOut != "" {
+		if err := sr.WriteFile(shardOut); err != nil {
+			return false, err
+		}
+	}
+	res, err := sr.Result()
+	if err != nil {
+		return false, err
+	}
+	if opt.Shards > 1 {
+		fmt.Fprintf(stdout, "%-22s shard %d/%d chunks [%d,%d): %s\n",
+			t.Name+":", opt.Shard, opt.Shards, sr.StartChunk, sr.EndChunk, res.Summary())
+		return true, nil
+	}
+	return printVerdict(stdout, t.Name, res, t.Secure), nil
 }
 
 // startProgress launches a ticker that reports verifier progress on stderr
@@ -523,60 +529,6 @@ func parseShard(s string) (shard, shards int, err error) {
 	return k, n, nil
 }
 
-// runTargetExhaustive sweeps one registered target — or one shard of it —
-// optionally persisting the sealed shard artifact and a resumable
-// checkpoint. A single-shard run is judged against the target's expected
-// verdict; a k/n shard carries no verdict of its own (the leak may live in
-// another shard) and exits 0 unless the sweep itself failed.
-func runTargetExhaustive(stdout, stderr io.Writer, name string, opt separability.ExhaustiveOptions, shardSpec, shardOut string) int {
-	t, err := verifysys.FindExhaustiveTarget(name)
-	if err != nil {
-		fmt.Fprintln(stderr, "sepverify:", err)
-		return 2
-	}
-	opt.Target = name
-	if opt.Shard, opt.Shards, err = parseShard(shardSpec); err != nil {
-		fmt.Fprintln(stderr, "sepverify:", err)
-		return 2
-	}
-	// Announce an adopted checkpoint before the sweep so supervisors (and
-	// the fleet-smoke test) can observe that a restarted worker actually
-	// resumed instead of starting over.
-	if opt.Checkpoint != "" {
-		ck, err := separability.ReadShardCheckpoint(opt.Checkpoint)
-		if err != nil {
-			fmt.Fprintln(stderr, "sepverify:", err)
-			return 2
-		}
-		if ck != nil {
-			fmt.Fprintf(stderr, "sepverify: resumed shard %d/%d of %s from %s (frontier %d of chunks [%d,%d))\n",
-				ck.Shard, ck.Shards, name, opt.Checkpoint, ck.Frontier, ck.StartChunk, ck.EndChunk)
-		}
-	}
-	sr, err := separability.CheckExhaustiveShard(t.Build(), opt)
-	if err != nil {
-		fmt.Fprintln(stderr, "sepverify:", err)
-		return 2
-	}
-	if shardOut != "" {
-		if err := sr.WriteFile(shardOut); err != nil {
-			fmt.Fprintln(stderr, "sepverify:", err)
-			return 2
-		}
-	}
-	res, err := sr.Result()
-	if err != nil {
-		fmt.Fprintln(stderr, "sepverify:", err)
-		return 2
-	}
-	if opt.Shards > 1 {
-		fmt.Fprintf(stdout, "%-22s shard %d/%d chunks [%d,%d): %s\n",
-			name+":", opt.Shard, opt.Shards, sr.StartChunk, sr.EndChunk, res.Summary())
-		return 0
-	}
-	return printExhaustiveVerdict(stdout, name, res, t.Secure)
-}
-
 // runMerge folds a complete set of shard-result files into the combined
 // verdict, which is identical to an unsharded run of the same target. The
 // exit status follows the target's expected verdict when the stamped target
@@ -610,12 +562,16 @@ func runMerge(stdout, stderr io.Writer, paths []string) int {
 		fmt.Fprintf(stdout, "%-22s %s\n", name+":", res.Summary())
 		return 0
 	}
-	return printExhaustiveVerdict(stdout, name, res, t.Secure)
+	if !printVerdict(stdout, name, res, t.Secure) {
+		return 1
+	}
+	return 0
 }
 
-// printExhaustiveVerdict reports one target's combined result in the same
-// shape runOne uses for kernel checks, returning the exit status.
-func printExhaustiveVerdict(stdout io.Writer, name string, res *separability.Result, expectSecure bool) int {
+// printVerdict reports one system's result against its registered
+// verdict, followed by the first violation of each violated condition, and
+// reports whether the verdict was the expected one.
+func printVerdict(stdout io.Writer, name string, res *separability.Result, expectSecure bool) bool {
 	verdict := "as expected"
 	good := res.Passed() == expectSecure
 	if !good {
@@ -632,8 +588,5 @@ func printExhaustiveVerdict(stdout io.Writer, name string, res *separability.Res
 			fmt.Fprintf(stdout, "    %s\n", v)
 		}
 	}
-	if good {
-		return 0
-	}
-	return 1
+	return good
 }

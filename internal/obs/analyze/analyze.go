@@ -33,6 +33,7 @@ package analyze
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/obs"
 )
@@ -153,21 +154,14 @@ func Regimes(events []obs.Event) []int {
 // digest hashes a projected event sequence: FNV-1a 64 over the canonical
 // JSONL rendering, one line per event.
 func digest(events []obs.Event) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := fnv.New64a()
 	var buf []byte
 	for _, e := range events {
 		buf = obs.AppendJSON(buf[:0], e)
 		buf = append(buf, '\n')
-		for _, b := range buf {
-			h ^= uint64(b)
-			h *= prime64
-		}
+		h.Write(buf)
 	}
-	return h
+	return h.Sum64()
 }
 
 // DiffResult reports the comparison of one regime's projections across two

@@ -73,9 +73,10 @@ type stateInfo struct {
 	inEx   [][]uint64 // [input][colour] digest of EXTRACT(c, i)
 }
 
-// defaultChunkSize is the per-claim state count when ExhaustiveOptions
-// leaves ChunkSize zero. It is also the checkpoint granularity.
-const defaultChunkSize = 64
+// DefaultChunkSize is the per-claim state count when ExhaustiveOptions
+// leaves ChunkSize zero. It is also the checkpoint granularity, so a fleet
+// coordinator partitions with it to follow its workers' progress.
+const DefaultChunkSize = 64
 
 // ExhaustiveOptions tunes CheckExhaustiveShard.
 type ExhaustiveOptions struct {
@@ -103,10 +104,9 @@ type ExhaustiveOptions struct {
 	Metrics *obs.Registry
 
 	// Shard/Shards select one shard of a deterministic partition of the
-	// chunked state space: shard k of n covers chunk range
-	// [k*nChunks/n, (k+1)*nChunks/n). Zero values mean the whole space
-	// (shard 0 of 1). Merging the n shard results in shard order
-	// (MergeShards) is byte-identical to the unsharded run.
+	// chunked state space (ShardParams.ChunkRange). Zero values mean the
+	// whole space (shard 0 of 1). Merging the n shard results in shard
+	// order (MergeShards) is byte-identical to the unsharded run.
 	Shard, Shards int
 	// ChunkSize is the number of consecutive states per work chunk
 	// (0 = 64). Every shard of one partition must use the same value; it
@@ -177,7 +177,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	}
 	chunkSize := opt.ChunkSize
 	if chunkSize <= 0 {
-		chunkSize = defaultChunkSize
+		chunkSize = DefaultChunkSize
 	}
 	shard, shards := opt.Shard, opt.Shards
 	if shards == 0 {
@@ -204,14 +204,13 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	colours := sys.Colours()
 	nc := len(colours)
 
-	nChunks := (len(states) + chunkSize - 1) / chunkSize
-	startChunk := shard * nChunks / shards
-	endChunk := (shard + 1) * nChunks / shards
 	params := ShardParams{
 		Target: opt.Target, Shard: shard, Shards: shards,
 		ChunkSize: chunkSize, MaxViolations: maxViolations,
 		States: len(states), Inputs: len(inputs), Colours: colourNames(colours),
 	}
+	nChunks := params.NChunks()
+	startChunk, endChunk := params.ChunkRange(shard)
 
 	// Resume: load, validate and adopt any prior checkpoint before paying
 	// for the sweeps. A missing file is a cold start; an invalid or
@@ -249,13 +248,13 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	// Progress counters: the shard's own unit space is published before the
 	// sweep starts, and resumed work is credited immediately, so consumers
 	// can compute percent-complete from the first scrape.
-	unitsPerState := uint64(1 + len(inputs))
+	unitsPerState := uint64(params.UnitsPerState())
 	var done *obs.Counter
 	if opt.Metrics != nil {
 		opt.Metrics.Counter("sep_exh_space_total").
-			Add(uint64(statesInChunks(startChunk, endChunk, chunkSize, len(states))) * unitsPerState)
+			Add(uint64(params.StatesIn(startChunk, endChunk)) * unitsPerState)
 		done = opt.Metrics.Counter("sep_exh_states_total")
-		if n := statesInChunks(startChunk, frontier, chunkSize, len(states)); n > 0 {
+		if n := params.StatesIn(startChunk, frontier); n > 0 {
 			done.Add(uint64(n) * unitsPerState)
 		}
 	}
@@ -737,13 +736,6 @@ func chunkBounds(cj, chunkSize, n int) (int, int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// statesInChunks counts the states covered by chunk range [lo, hi).
-func statesInChunks(lo, hi, chunkSize, states int) int {
-	a := min(lo*chunkSize, states)
-	b := min(hi*chunkSize, states)
-	return b - a
 }
 
 // replicate returns sys followed by up to n-1 clones of it, one system per

@@ -48,6 +48,20 @@ func (p ShardParams) NChunks() int {
 	return (p.States + p.ChunkSize - 1) / p.ChunkSize
 }
 
+// ChunkRange is the partition rule: shard k of p.Shards covers chunk range
+// [k*NChunks/Shards, (k+1)*NChunks/Shards). The ranges of shards 0..Shards-1
+// tile the chunk space in order, for any shard count.
+func (p ShardParams) ChunkRange(k int) (lo, hi int) {
+	n := p.NChunks()
+	return k * n / p.Shards, (k + 1) * n / p.Shards
+}
+
+// StatesIn counts the states covered by chunk range [lo, hi); chunks past
+// the last state count nothing.
+func (p ShardParams) StatesIn(lo, hi int) int {
+	return max(0, min(hi*p.ChunkSize, p.States)-min(lo*p.ChunkSize, p.States))
+}
+
 // UnitsPerState is the progress weight of one state: its op pass plus one
 // pass per enumerated input.
 func (p ShardParams) UnitsPerState() int { return 1 + p.Inputs }
@@ -155,10 +169,9 @@ func (h *shardHeader) validate(v any, kind string) error {
 	if err := h.ShardParams.validate(); err != nil {
 		return err
 	}
-	n := h.NChunks()
-	if h.StartChunk != h.Shard*n/h.Shards || h.EndChunk != (h.Shard+1)*n/h.Shards {
+	if lo, hi := h.ChunkRange(h.Shard); h.StartChunk != lo || h.EndChunk != hi {
 		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
-			h.StartChunk, h.EndChunk, h.Shard, h.Shards, n)
+			h.StartChunk, h.EndChunk, h.Shard, h.Shards, h.NChunks())
 	}
 	return nil
 }

@@ -96,8 +96,8 @@ type Spec struct {
 	Regions []Region
 	// Peers are the colours reachable over configured channels. With Uncut
 	// set, a RECV imports the join of the peer colours instead of being
-	// relabelled at the cut endpoint — reproducing sepverify -uncut, which
-	// shows the configured channels as flows.
+	// relabelled at the cut endpoint — reproducing `sepverify -target
+	// honest-uncut`, which shows the configured channels as flows.
 	Peers []Colour
 	Uncut bool
 	// Lattice defaults to ifa.Isolation over every colour mentioned in the

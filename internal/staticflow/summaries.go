@@ -76,8 +76,9 @@ func (a *analysis) trap(in *Instr, st *state, pc Colour, report bool) {
 		case kernel.EffConfig:
 			a.kernelSet(in, st, loc(rw.Reg), a.bot)
 		case kernel.EffChannelIn:
-			// Uncut channels are the configured flows sepverify -uncut
-			// shows: the import is flow-checked instead of relabelled.
+			// Uncut channels are the configured flows `sepverify -target
+			// honest-uncut` shows: the import is flow-checked instead of
+			// relabelled.
 			a.checkedSet(in, st, loc(rw.Reg), inColour, inColour, locNone,
 				"uncut channel import", report)
 		}

@@ -16,7 +16,8 @@ import (
 // target name can never be merged across different systems.
 type ExhaustiveTarget struct {
 	// Name is the stable identifier ("family:variant") stamped into shard
-	// artifacts and passed to `sepverify -target`.
+	// artifacts and passed to `sepverify -target`. Only exhaustive target
+	// names contain a ':', so they never collide with deployment names.
 	Name string
 	// Secure reports the expected verdict, letting drivers pick an exit
 	// status (a leaky target that passes is as alarming as an honest one

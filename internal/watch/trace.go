@@ -2,6 +2,7 @@ package watch
 
 import (
 	"fmt"
+	"hash/fnv"
 	"sort"
 
 	"repro/internal/model"
@@ -45,23 +46,16 @@ func CaptureTrace(sys Traceable, seed int64, steps, inputEvery int) []obs.Event 
 // regime set itself agree, making it the single number a ledger diff
 // compares first.
 func RegimeDigests(events []obs.Event) ([]RegimeDigest, string) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
+	h := fnv.New64a()
 	var out []RegimeDigest
 	for _, r := range analyze.Regimes(events) {
 		p := analyze.Project(events, r)
 		rd := RegimeDigest{Regime: r, Events: len(p.Events),
 			Digest: fmt.Sprintf("%016x", p.Digest)}
 		out = append(out, rd)
-		for _, b := range []byte(fmt.Sprintf("%d:%d:%s\n", rd.Regime, rd.Events, rd.Digest)) {
-			h ^= uint64(b)
-			h *= prime64
-		}
+		fmt.Fprintf(h, "%d:%d:%s\n", rd.Regime, rd.Events, rd.Digest)
 	}
-	return out, fmt.Sprintf("%016x", h)
+	return out, fmt.Sprintf("%016x", h.Sum64())
 }
 
 // ChannelStats counts per-channel send/receive traffic in a trace, sorted
