@@ -55,9 +55,6 @@ type Adapter struct {
 	// PerturbWords bounds how many words each perturbation touches.
 	PerturbWords int
 
-	// phi caches per-regime Φ digests during delta checkpoints; built
-	// lazily on first Checkpoint (see phicache.go).
-	phi *phiCache
 	// phiWords is the scratch vector Φ^c is gathered into (see
 	// gatherPhi). NewAdapter leaves it nil, so a clone never shares its
 	// original's.
@@ -101,6 +98,37 @@ func (a *Adapter) Restore(s model.StateRef) {
 		panic(fmt.Sprintf("kernel adapter: restore: %v", err))
 	}
 	a.K.dead = st.dead
+}
+
+// adapterCheckpoint is the model.Checkpoint payload: the machine's delta
+// plus the kernel-level dead flag — exactly the components adapterState
+// restores on the full-snapshot path.
+type adapterCheckpoint struct {
+	delta *machine.Delta
+	dead  bool
+}
+
+// Checkpoint implements model.Checkpointer. Returns nil (caller falls back
+// to Save/Restore) when a delta is already active on the machine.
+func (a *Adapter) Checkpoint() model.Checkpoint {
+	d := a.K.m.DeltaSnapshot()
+	if d == nil {
+		return nil
+	}
+	return &adapterCheckpoint{delta: d, dead: a.K.dead}
+}
+
+// Rollback implements model.Checkpointer.
+func (a *Adapter) Rollback(cp model.Checkpoint) {
+	st := cp.(*adapterCheckpoint)
+	a.K.m.DeltaRestore(st.delta)
+	a.K.dead = st.dead
+}
+
+// Release implements model.Checkpointer: roll back, then stop tracking.
+func (a *Adapter) Release(cp model.Checkpoint) {
+	a.Rollback(cp)
+	a.K.m.EndDelta(cp.(*adapterCheckpoint).delta)
 }
 
 // Colour implements model.SharedSystem: the colour on whose behalf the
@@ -221,18 +249,10 @@ func (a *Adapter) Abstract(c model.Colour) string {
 
 // AbstractDigest implements model.Digester: the fingerprint of the values
 // Φ^c is rendered from, so two digests of one colour are equal exactly when
-// the Abstract strings are (up to 64-bit collisions). During a delta
-// checkpoint the value is served from the per-regime cache when provably
-// fresh (see phicache.go); either way it is what a fresh gather would
-// fingerprint.
+// the Abstract strings are (up to 64-bit collisions).
 func (a *Adapter) AbstractDigest(c model.Colour) uint64 {
-	if dig, ok := a.cachedDigest(c); ok {
-		return dig
-	}
 	a.phiWords = a.gatherPhi(a.phiWords[:0], c)
-	dig := fingerprint(a.phiWords)
-	a.storeDigest(c, dig)
-	return dig
+	return fingerprint(a.phiWords)
 }
 
 // gatherPhi appends to dst the values Φ^c is rendered from, in rendering
@@ -584,39 +604,34 @@ func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 	for ci, ch := range k.cfg.Channels {
 		base := k.chanBase(ci)
 		capa := k.m.ReadPhys(base + 3)
-		if capa == 0 {
-			continue
-		}
-		sendContentsInvisible := ch.To != string(c)
-		if k.cfg.CutChannels {
-			// In the cut system buffer A's contents are invisible to
-			// everyone, and buffer B (the read end) belongs to ch.To.
-			if sendContentsInvisible {
-				// Perturb unused slots of buffer A only (outside count
-				// window) — count itself is visible to the sender.
-				a.perturbRingSlack(base, 8, capa, r)
-			}
-		} else {
-			if sendContentsInvisible {
-				// Contents of the queue are visible only to ch.To.
-				a.perturbRingSlack(base, 8, capa, r)
-			}
+		// Queued contents are visible only to ch.To. In the cut system the
+		// slack walked is buffer A's, whose contents nobody observes;
+		// buffer B (the read end) belongs to ch.To.
+		if capa != 0 && ch.To != string(c) {
+			a.perturbRingSlack(base, 8, capa, r)
 		}
 	}
 }
 
 // perturbRingSlack randomizes ring-buffer slots outside the live window
-// [head, head+count): those words are invisible to every colour.
+// [head, head+count): those words are invisible to every colour. It walks
+// the capa-count free slots from head+count, wrapping at capa; a count
+// above capa draws every slot.
 func (a *Adapter) perturbRingSlack(base, bufOff, capa Word, r model.Rand) {
 	m := a.K.m
 	head := m.ReadPhys(base + 0)
 	count := m.ReadPhys(base + 2)
-	for j := Word(0); j < capa; j++ {
-		idx := (head + count + j) % capa
-		if j < capa-count {
-			if r.Intn(2) == 0 {
-				m.WritePhys(base+bufOff+idx, Word(r.Uint32()))
-			}
+	free := capa
+	if count <= capa {
+		free = capa - count
+	}
+	idx := (head + count) % capa
+	for j := Word(0); j < free; j++ {
+		if r.Intn(2) == 0 {
+			m.WritePhys(base+bufOff+idx, Word(r.Uint32()))
+		}
+		if idx++; idx == capa {
+			idx = 0
 		}
 	}
 }

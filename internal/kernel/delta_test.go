@@ -23,9 +23,8 @@ func mutateAdapter(a *kernel.Adapter, rng *rand.Rand) {
 	}
 }
 
-// abstractAll renders the full per-colour Φ table; it never goes through
-// the digest cache, so it is the ground truth the cached digests must
-// agree with.
+// abstractAll renders the full per-colour Φ table: the ground truth the
+// rollback paths must reproduce.
 func abstractAll(a *kernel.Adapter) map[model.Colour]string {
 	out := map[model.Colour]string{}
 	for _, c := range a.Colours() {
@@ -36,11 +35,22 @@ func abstractAll(a *kernel.Adapter) map[model.Colour]string {
 
 // TestCheckpointRollbackMatchesRestore is the adapter-level differential
 // test: Checkpoint/Rollback must land on exactly the machine state and Φ
-// abstractions a full snapshot recorded, across repeated rollbacks.
+// abstractions a full snapshot recorded, across repeated rollbacks. Along
+// the walk every AbstractDigest must also pass the equality-partition
+// differential against the rendered Φ strings.
 func TestCheckpointRollbackMatchesRestore(t *testing.T) {
 	a := adapterSystem(t)
 	rng := rand.New(rand.NewSource(11))
 	a.Randomize(rng)
+	part := newPhiPartition()
+	checkDigests := func(step string) {
+		t.Helper()
+		for _, c := range a.Colours() {
+			if err := part.check(c, a.AbstractDigest(c), a.Abstract(c)); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+		}
+	}
 
 	for round := 0; round < 10; round++ {
 		ref := a.K.Machine().Snapshot()
@@ -57,6 +67,9 @@ func TestCheckpointRollbackMatchesRestore(t *testing.T) {
 			n := rng.Intn(40)
 			for i := 0; i < n; i++ {
 				mutateAdapter(a, rng)
+				if i%5 == 0 {
+					checkDigests(fmt.Sprintf("round %d sub %d step %d", round, sub, i))
+				}
 			}
 			a.Rollback(cp)
 			if !a.K.Machine().Snapshot().Equal(ref) {
@@ -65,59 +78,10 @@ func TestCheckpointRollbackMatchesRestore(t *testing.T) {
 			if got := abstractAll(a); fmt.Sprint(got) != fmt.Sprint(want) {
 				t.Fatalf("round %d sub %d: Φ abstractions differ after rollback", round, sub)
 			}
+			checkDigests(fmt.Sprintf("round %d sub %d after rollback", round, sub))
 		}
 		a.Release(cp)
 		for i := 0; i < 8; i++ {
-			mutateAdapter(a, rng)
-		}
-	}
-}
-
-// TestIncrementalDigestMatchesOracle pins the digest cache against its
-// oracles: at every point of a checkpointed random walk, AbstractDigest
-// (which may serve a cached, incrementally-validated value) must equal the
-// fingerprint of a fresh gather, and pass the equality-partition
-// differential against the freshly rendered Φ strings.
-func TestIncrementalDigestMatchesOracle(t *testing.T) {
-	a := adapterSystem(t)
-	rng := rand.New(rand.NewSource(23))
-	a.Randomize(rng)
-	colours := a.Colours()
-	part := newPhiPartition()
-
-	check := func(step string) {
-		t.Helper()
-		for _, c := range colours {
-			got := a.AbstractDigest(c)
-			if want := a.GatheredDigest(c); got != want {
-				t.Fatalf("%s: AbstractDigest(%s) = %#x, fresh gather = %#x", step, c, got, want)
-			}
-			if err := part.check(c, got, a.Abstract(c)); err != nil {
-				t.Fatalf("%s: %v", step, err)
-			}
-		}
-	}
-
-	check("before checkpoint")
-	for round := 0; round < 6; round++ {
-		cp := a.Checkpoint()
-		if cp == nil {
-			t.Fatal("Checkpoint returned nil")
-		}
-		for sub := 0; sub < 3; sub++ {
-			for i := 0; i < 25; i++ {
-				mutateAdapter(a, rng)
-				if i%5 == 0 {
-					check(fmt.Sprintf("round %d sub %d step %d", round, sub, i))
-				}
-			}
-			check(fmt.Sprintf("round %d sub %d before rollback", round, sub))
-			a.Rollback(cp)
-			check(fmt.Sprintf("round %d sub %d after rollback", round, sub))
-		}
-		a.Release(cp)
-		check(fmt.Sprintf("round %d after release", round))
-		for i := 0; i < 5; i++ {
 			mutateAdapter(a, rng)
 		}
 	}

@@ -88,10 +88,9 @@ func (p *phiPartition) check(c model.Colour, dig uint64, phi string) error {
 // every rendered value into one digest. Every tenth state is also recorded
 // perturbed outside a random colour, the way the checkers build twin
 // states: inside a delta checkpoint whose pristine digests were taken
-// first, so the twin's digests go through the digest cache, then rolled
-// back. Every AbstractDigest along the walk, twins included, must pass the
-// equality-partition differential against Abstract. The walk reports the
-// OpID classes it reached.
+// first, then rolled back. Every AbstractDigest along the walk, twins
+// included, must pass the equality-partition differential against
+// Abstract. The walk reports the OpID classes it reached.
 func encodingWalk(t *testing.T, sys *kernel.Adapter, seed int64, steps int) (uint64, map[string]bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))

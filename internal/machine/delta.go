@@ -58,7 +58,6 @@ type Delta struct {
 	// Per-device copy-on-first-touch pre-mutation snapshots.
 	devTouched []bool
 	devOld     [][]Word
-	devVerAt   []uint64
 }
 
 // DirtyWords returns how many distinct RAM words have been written since
@@ -88,18 +87,15 @@ func (m *Machine) DeltaSnapshot() *Delta {
 	if cap(d.devTouched) < n {
 		d.devTouched = make([]bool, n)
 		d.devOld = make([][]Word, n)
-		d.devVerAt = make([]uint64, n)
 	} else {
 		d.devTouched = d.devTouched[:n]
 		d.devOld = d.devOld[:n]
-		d.devVerAt = d.devVerAt[:n]
 		for i := range d.devTouched {
 			d.devTouched[i] = false
 		}
 	}
 	d.saveCPU(m)
 	m.delta = d
-	m.deltaGen++
 	return d
 }
 
@@ -123,10 +119,6 @@ func (m *Machine) DeltaRestore(d *Delta) {
 	for i := range m.devices {
 		if d.devTouched[i] {
 			m.devices[i].RestoreState(d.devOld[i])
-			// The device is back at its snapshot-point state, so its
-			// version rewinds too — digest caches keyed on versions then
-			// recognise checkpoint-time state as fresh again.
-			m.devVer[i] = d.devVerAt[i]
 			d.devTouched[i] = false
 		}
 	}
@@ -141,46 +133,16 @@ func (m *Machine) EndDelta(d *Delta) {
 	}
 	if m.delta == d {
 		m.delta = nil
-		m.deltaGen++
 	}
 	d.owner = nil
 	deltaPool.Put(d)
 }
 
-// DeltaActive reports whether a delta checkpoint is currently tracking
-// writes.
-func (m *Machine) DeltaActive() bool { return m.delta != nil }
-
-// DeltaGen returns the delta generation counter: it advances whenever
-// tracking starts or stops, so a cached value derived under one checkpoint
-// can never be mistaken as fresh under another (writes between checkpoints
-// are not journaled).
-func (m *Machine) DeltaGen() uint64 { return m.deltaGen }
-
-// DeltaAddrs returns the RAM addresses written since the snapshot point or
-// the most recent DeltaRestore (each distinct address at least once; no
-// order guarantee). The slice aliases the live log: callers must only read
-// it, and only before the next machine mutation. Returns nil when no delta
-// is active.
-func (m *Machine) DeltaAddrs() []Word {
-	if m.delta == nil {
-		return nil
-	}
-	return m.delta.addrs
-}
-
-// DeviceVersion returns the mutation counter of attached device i. It
-// advances on every (potentially) mutating access — register writes and
-// reads (some devices have read side effects), ticks, acks, resets, input
-// injection — and rewinds with DeltaRestore, so version equality implies
-// state equality within one delta generation.
-func (m *Machine) DeviceVersion(i int) uint64 { return m.devVer[i] }
-
 // Inject delivers input words to an attached input-sink device through the
-// write barrier, so that delta tracking and device versioning see the
-// mutation. It reports whether the device was found and accepts input.
-// External code must use this instead of calling InjectInput directly
-// (lint-enforced: rule raw-device-access).
+// write barrier, so that delta tracking sees the mutation. It reports
+// whether the device was found and accepts input. External code must use
+// this instead of calling InjectInput directly (lint-enforced: rule
+// raw-device-access).
 func (m *Machine) Inject(d Device, ws []Word) bool {
 	for i, dd := range m.devices {
 		if dd == d {
@@ -211,15 +173,12 @@ func (m *Machine) writeRAM(a, v Word) {
 	m.ram[a] = v
 }
 
-// touchDevice marks device i as (potentially) mutated: its version
-// advances, and an active delta captures its pre-mutation state on first
-// touch.
+// touchDevice marks device i as (potentially) mutated: an active delta
+// captures its pre-mutation state on first touch.
 func (m *Machine) touchDevice(i int) {
-	m.devVer[i]++
 	if d := m.delta; d != nil && !d.devTouched[i] {
 		d.devTouched[i] = true
 		d.devOld[i] = append(d.devOld[i][:0], m.devices[i].SnapshotState()...)
-		d.devVerAt[i] = m.devVer[i] - 1
 	}
 }
 

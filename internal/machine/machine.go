@@ -29,15 +29,12 @@ type Machine struct {
 	devices []Device
 	devBase []Word
 	devVec  []Word
-	// devVer counts (potential) mutations per device; see DeviceVersion.
-	devVer []uint64
 
 	// Delta-snapshot write-barrier state (see delta.go). dirtyMark/dirtyEpoch
 	// implement O(1)-reset first-touch dedup for the active delta's undo log.
 	delta      *Delta
 	dirtyMark  []uint32
 	dirtyEpoch uint32
-	deltaGen   uint64
 
 	cycles uint64
 
@@ -116,7 +113,6 @@ func (m *Machine) Attach(d Device) Handle {
 	m.devices = append(m.devices, d)
 	m.devBase = append(m.devBase, base)
 	m.devVec = append(m.devVec, vec)
-	m.devVer = append(m.devVer, 0)
 	d.Reset()
 	return Handle{Base: base, Vector: vec}
 }

@@ -142,9 +142,8 @@ func BenchmarkMicroAbstract(b *testing.B) {
 	}
 }
 
-// BenchmarkMicroDigestMiss is AbstractDigest with no checkpoint active, so
-// the digest cache never serves it: gather Φ^c's source words and
-// fingerprint them, every call.
+// BenchmarkMicroDigestMiss is AbstractDigest, the path every call takes:
+// gather Φ^c's source words and fingerprint them.
 func BenchmarkMicroDigestMiss(b *testing.B) {
 	sys, err := verifysys.Build(verifysys.ProbePlain, kernel.Leaks{}, true)
 	if err != nil {
