@@ -18,8 +18,11 @@ lint:
 # Short fuzzing pass over every fuzz target: assembler, CFG builder and
 # value-set resolution, delta snapshots, the trace decoder, the shared
 # artifact line reader (witness manifests and build ledgers), witness
-# manifests and checkpoint resume. CI runs this target; the committed
-# corpora seed each fuzzer.
+# manifests, checkpoint resume and decoded kernel states. CI runs this
+# target; the committed corpora seed each fuzzer, and a state captured
+# from a randomized run seeds the kernel-state one. That seed is a 16 KB
+# input, which the fuzzer would spend the whole pass minimizing, so that
+# target runs without minimization.
 fuzz-smoke:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/staticflow -run '^$$' -fuzz FuzzBuildCFG -fuzztime 10s
@@ -29,6 +32,7 @@ fuzz-smoke:
 	$(GO) test ./internal/artifact -run '^$$' -fuzz FuzzReadLines -fuzztime 10s
 	$(GO) test ./internal/witness -run '^$$' -fuzz FuzzWitnessRead -fuzztime 10s
 	$(GO) test ./internal/separability -run '^$$' -fuzz FuzzCheckpointResume -fuzztime 10s
+	$(GO) test ./internal/kernel -run '^$$' -fuzz FuzzDecodeState -fuzztime 10s -fuzzminimizetime 0
 
 # Trace-analysis smoke (E14): replay the committed golden traces through
 # septrace. The honest Physical/KernelHosted pair must be indistinguishable,

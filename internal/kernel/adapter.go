@@ -2,7 +2,7 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"unsafe"
@@ -21,13 +21,14 @@ func (k *Kernel) RegimePSW(i int) Word {
 		(machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC)
 }
 
-// InputVec is one external stimulus: words delivered to named input-sink
-// devices at this time step.
-type InputVec map[string][]Word
+// InputVec is one external stimulus: entry j holds the words delivered to
+// the machine's device j (bus order) at this time step, nil for no
+// stimulus.
+type InputVec [][]Word
 
-// OutputVec is the observable output state: the cumulative output of every
-// output-source device.
-type OutputVec map[string][]Word
+// OutputVec is the observable output state: entry j is the cumulative
+// output of device j when it is an output source, nil otherwise.
+type OutputVec [][]Word
 
 // Adapter presents a booted SUE-Go system as the shared system of the
 // paper's Appendix model, so that package separability can check the six
@@ -38,22 +39,20 @@ type OutputVec map[string][]Word
 //	S       = machine.Snapshot (CPU + MMU + RAM + devices) plus kernel death
 //	OPS     = {user instruction, kernel service, interrupt fielding,
 //	           virtual interrupt delivery, idle} — one Kernel.StepCPU each
-//	INPUT   = inject stimulus words into input devices, then tick devices
-//	OUTPUT  = cumulative device outputs (a pure function of S)
+//	INPUT   = stimulus words per input device, by bus position; inject
+//	          them, then tick devices
+//	OUTPUT  = cumulative output per output device, by bus position (a
+//	          pure function of S)
 //	COLOUR  = owner of the interrupt about to be fielded, else the current
 //	          regime when in user mode, else the kernel pseudo-colour
-//	EXTRACT = the device entries owned by a colour
+//	EXTRACT = the entries whose device the kernel assigns to the colour's
+//	          regime (Kernel.devOwner), in bus order
 //	Φ^c     = partition RAM + register file + run/pending/IPL words +
 //	          owned-device state + the regime's view of each channel
 type Adapter struct {
 	K *Kernel
 
 	colours []model.Colour
-	// ownedSinks/ownedSources: device name -> owning colour.
-	owner map[string]model.Colour
-
-	// PerturbWords bounds how many words each perturbation touches.
-	PerturbWords int
 
 	// phiWords is the scratch vector Φ^c is gathered into (see
 	// gatherPhi). NewAdapter leaves it nil, so a clone never shares its
@@ -65,14 +64,15 @@ type Adapter struct {
 // is the kernel's own (the idle loop) rather than any user's.
 const KernelColour model.Colour = "_kernel"
 
+// perturbWords is how many randomly placed partition words each
+// perturbation scrambles per regime, beyond the first four.
+const perturbWords = 8
+
 // NewAdapter wraps a booted kernel.
 func NewAdapter(k *Kernel) *Adapter {
-	a := &Adapter{K: k, owner: map[string]model.Colour{}, PerturbWords: 8}
+	a := &Adapter{K: k}
 	for _, r := range k.cfg.Regimes {
 		a.colours = append(a.colours, model.Colour(r.Name))
-		for _, d := range r.Devices {
-			a.owner[d.Name()] = model.Colour(r.Name)
-		}
 	}
 	return a
 }
@@ -195,14 +195,12 @@ func (a *Adapter) Step() { a.K.StepCPU() }
 // devices, then let every device tick once.
 func (a *Adapter) ApplyInput(i model.Input) {
 	if i != nil {
-		iv := i.(InputVec)
-		for _, d := range a.K.m.Devices() {
-			if _, ok := d.(machine.InputSink); ok {
-				if ws := iv[d.Name()]; len(ws) > 0 {
-					// Injection goes through the machine so delta tracking
-					// sees the device mutation.
-					a.K.m.Inject(d, ws)
-				}
+		devs := a.K.m.Devices()
+		for j, ws := range i.(InputVec) {
+			if len(ws) > 0 {
+				// Injection goes through the machine so delta tracking
+				// sees the device mutation.
+				a.K.m.Inject(devs[j], ws)
 			}
 		}
 	}
@@ -211,10 +209,11 @@ func (a *Adapter) ApplyInput(i model.Input) {
 
 // CurrentOutput implements model.SharedSystem.
 func (a *Adapter) CurrentOutput() model.Output {
-	ov := OutputVec{}
-	for _, d := range a.K.m.Devices() {
+	devs := a.K.m.Devices()
+	ov := make(OutputVec, len(devs))
+	for j, d := range devs {
 		if src, ok := d.(machine.OutputSource); ok {
-			ov[d.Name()] = src.PeekOutput()
+			ov[j] = src.PeekOutput()
 		}
 	}
 	return ov
@@ -282,17 +281,17 @@ func (a *Adapter) gatherPhi(dst []Word, c model.Colour) []Word {
 	}
 	for ci, ch := range k.cfg.Channels {
 		base := k.chanBase(ci)
-		capa := k.m.ReadPhys(base + 3)
+		capa := k.m.ReadPhys(base + chCap)
 		switch string(c) {
 		case ch.From:
 			// The sender observes only the free space.
-			dst = append(dst, capa-k.m.ReadPhys(base+2))
+			dst = append(dst, capa-k.m.ReadPhys(base+chCount))
 		case ch.To:
 			// The receiver observes the queued words: buffer B (after
 			// buffer A) in the cut system, the one shared buffer otherwise.
-			cnt, head, buf := k.m.ReadPhys(base+2), k.m.ReadPhys(base+0), base+8
+			cnt, head, buf := k.m.ReadPhys(base+chCount), k.m.ReadPhys(base+chHead), base+chBuf
 			if k.cfg.CutChannels {
-				cnt, head, buf = k.m.ReadPhys(base+6), k.m.ReadPhys(base+4), base+8+capa
+				cnt, head, buf = k.m.ReadPhys(base+chCountB), k.m.ReadPhys(base+chHeadB), base+chBuf+capa
 			}
 			dst = append(dst, cnt)
 			for j := Word(0); j < cnt; j++ {
@@ -402,20 +401,22 @@ func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
 	return a.extract(c, o.(OutputVec))
 }
 
-// extract renders the entries of a device vector that colour c owns as
-// "name=words;" in name order, each word as four hex digits.
-func (a *Adapter) extract(c model.Colour, vec map[string][]Word) string {
-	var names []string
-	for name := range vec {
-		if a.owner[name] == c {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
+// extract renders the non-nil entries of a device vector whose device the
+// kernel assigns to colour c's regime as "name=words;" in bus order, each
+// word as four hex digits. Witnesses, shards and ledgers persist these
+// strings in name order; no configuration gives a regime more than one
+// input sink or more than one output source, so bus order is name order.
+func (a *Adapter) extract(c model.Colour, vec [][]Word) string {
+	k := a.K
+	ri := k.RegimeIndex(string(c))
+	devs := k.m.Devices()
 	var b []byte
-	for _, name := range names {
-		b = append(append(b, name...), '=')
-		for _, w := range vec[name] {
+	for j, ws := range vec {
+		if ws == nil || ri < 0 || k.devOwner[j] != ri {
+			continue
+		}
+		b = append(append(b, devs[j].Name()...), '=')
+		for _, w := range ws {
 			b = hexWord(b, w)
 		}
 		b = append(b, ';')
@@ -433,8 +434,12 @@ func (a *Adapter) extract(c model.Colour, vec map[string][]Word) string {
 func (a *Adapter) Clone() model.SharedSystem {
 	k := a.K
 	m2 := machine.New(k.m.RAMWords())
-	devByName := map[string]machine.Device{}
-	for _, d := range k.m.Devices() {
+	cfg := k.cfg
+	cfg.Regimes = append([]RegimeSpec(nil), k.cfg.Regimes...)
+	for ri, r := range cfg.Regimes {
+		cfg.Regimes[ri].Devices = make([]machine.Device, len(r.Devices))
+	}
+	for j, d := range k.m.Devices() {
 		rep, ok := d.(machine.Replicator)
 		if !ok {
 			return nil
@@ -445,18 +450,9 @@ func (a *Adapter) Clone() model.SharedSystem {
 		}
 		// Attaching in bus order reproduces register blocks and vectors.
 		m2.Attach(nd)
-		devByName[nd.Name()] = nd
-	}
-
-	cfg := k.cfg
-	cfg.Regimes = append([]RegimeSpec(nil), k.cfg.Regimes...)
-	for ri := range cfg.Regimes {
-		r := &cfg.Regimes[ri]
-		devs := make([]machine.Device, len(r.Devices))
-		for di, d := range r.Devices {
-			devs[di] = devByName[d.Name()]
+		if ri := k.devOwner[j]; ri >= 0 {
+			cfg.Regimes[ri].Devices[k.devLocal[j]] = nd
 		}
-		r.Devices = devs
 	}
 	cfg.Channels = append([]ChannelSpec(nil), k.cfg.Channels...)
 
@@ -476,9 +472,7 @@ func (a *Adapter) Clone() model.SharedSystem {
 	k2.dead = k.dead
 	k2.Cause = k.Cause
 
-	a2 := NewAdapter(k2)
-	a2.PerturbWords = a.PerturbWords
-	return a2
+	return NewAdapter(k2)
 }
 
 // --- Perturbable ---
@@ -500,51 +494,40 @@ func (a *Adapter) Randomize(r model.Rand) {
 	}
 }
 
-// RandomInput implements model.Perturbable.
+// RandomInput implements model.Perturbable: every input sink draws, since
+// the kernel pseudo-colour owns none.
 func (a *Adapter) RandomInput(r model.Rand) model.Input {
-	iv := InputVec{}
-	for _, d := range a.K.m.Devices() {
-		if _, ok := d.(machine.InputSink); !ok {
-			continue
-		}
-		if r.Intn(3) == 0 {
-			n := 1 + r.Intn(2)
-			ws := make([]Word, n)
-			for j := range ws {
-				ws[j] = Word(r.Uint32() & 0xff)
-			}
-			iv[d.Name()] = ws
-		}
-	}
-	return iv
+	return a.RandomInputMatching(KernelColour, nil, r)
 }
 
-// RandomInputMatching implements model.Perturbable: keep c's components of
-// i, randomize the rest.
+// RandomInputMatching implements model.Perturbable: keep the stimuli of
+// c's input sinks from i, and give every other input sink a one-in-three
+// chance of one or two random words.
 func (a *Adapter) RandomInputMatching(c model.Colour, i model.Input, r model.Rand) model.Input {
-	out := InputVec{}
+	k := a.K
+	ri := k.RegimeIndex(string(c))
 	var orig InputVec
 	if i != nil {
 		orig = i.(InputVec)
 	}
-	for _, d := range a.K.m.Devices() {
+	devs := k.m.Devices()
+	out := make(InputVec, len(devs))
+	for j, d := range devs {
 		if _, ok := d.(machine.InputSink); !ok {
 			continue
 		}
-		name := d.Name()
-		if a.owner[name] == c {
-			if ws, ok := orig[name]; ok {
-				out[name] = append([]Word(nil), ws...)
+		if ri >= 0 && k.devOwner[j] == ri {
+			if j < len(orig) {
+				out[j] = slices.Clone(orig[j])
 			}
 			continue
 		}
 		if r.Intn(3) == 0 {
-			n := 1 + r.Intn(2)
-			ws := make([]Word, n)
-			for j := range ws {
-				ws[j] = Word(r.Uint32() & 0xff)
+			ws := make([]Word, 1+r.Intn(2))
+			for n := range ws {
+				ws[n] = Word(r.Uint32() & 0xff)
 			}
-			out[name] = ws
+			out[j] = ws
 		}
 	}
 	return out
@@ -569,7 +552,7 @@ func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 		for off := Word(0); off < 4 && off < spec.Size; off++ {
 			m.WritePhys(spec.Base+off, Word(r.Uint32()))
 		}
-		for t := 0; t < a.PerturbWords; t++ {
+		for t := 0; t < perturbWords; t++ {
 			off := Word(r.Uint32()) % spec.Size
 			m.WritePhys(spec.Base+off, Word(r.Uint32()))
 		}
@@ -603,12 +586,12 @@ func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 	// counterexample interpretation noisier than necessary).
 	for ci, ch := range k.cfg.Channels {
 		base := k.chanBase(ci)
-		capa := k.m.ReadPhys(base + 3)
+		capa := k.m.ReadPhys(base + chCap)
 		// Queued contents are visible only to ch.To. In the cut system the
 		// slack walked is buffer A's, whose contents nobody observes;
 		// buffer B (the read end) belongs to ch.To.
 		if capa != 0 && ch.To != string(c) {
-			a.perturbRingSlack(base, 8, capa, r)
+			a.perturbRingSlack(base, chBuf, capa, r)
 		}
 	}
 }
@@ -619,8 +602,8 @@ func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 // above capa draws every slot.
 func (a *Adapter) perturbRingSlack(base, bufOff, capa Word, r model.Rand) {
 	m := a.K.m
-	head := m.ReadPhys(base + 0)
-	count := m.ReadPhys(base + 2)
+	head := m.ReadPhys(base + chHead)
+	count := m.ReadPhys(base + chCount)
 	free := capa
 	if count <= capa {
 		free = capa - count

@@ -226,9 +226,9 @@ func (k *Kernel) validate() error {
 		}
 		k.chanOff = append(k.chanOff, off)
 		k.chanCap = append(k.chanCap, Word(ch.Capacity))
-		// Header (8 words) + two buffers (send-end and receive-end; the
-		// second is used only when channels are cut).
-		off += 8 + 2*Word(ch.Capacity)
+		// Header + two buffers (send-end and receive-end; the second is
+		// used only when channels are cut).
+		off += chBuf + 2*Word(ch.Capacity)
 	}
 	if off > KStackTop-16 {
 		return fmt.Errorf("kernel: channel buffers overflow the kernel data area")
@@ -314,10 +314,10 @@ func (k *Kernel) Boot() error {
 
 	for ci := range k.cfg.Channels {
 		base := k.chanOff[ci]
-		for j := Word(0); j < 8+2*k.chanCap[ci]; j++ {
+		for j := Word(0); j < chBuf+2*k.chanCap[ci]; j++ {
 			m.WritePhys(base+j, 0)
 		}
-		m.WritePhys(base+3, k.chanCap[ci])
+		m.WritePhys(base+chCap, k.chanCap[ci])
 	}
 
 	k.resume(k.scheduleFrom(0))
@@ -935,8 +935,8 @@ func (k *Kernel) syscall() {
 
 // --- channels ---
 
-// chanIndexFor returns the channel's buffer base, honouring the
-// ChannelAlias leak (channels 1.. share channel 0's buffer).
+// chanBase returns the physical address of channel ci's header (layout.go),
+// honouring the ChannelAlias leak (channels 1.. share channel 0's buffer).
 func (k *Kernel) chanBase(ci int) Word {
 	if k.cfg.Leaks.ChannelAlias && ci > 0 {
 		return k.chanOff[0]
@@ -944,9 +944,6 @@ func (k *Kernel) chanBase(ci int) Word {
 	return k.chanOff[ci]
 }
 
-// Channel header layout (relative to chanBase): 0 head, 1 tail, 2 count,
-// 3 cap, 4..6 the same for the read-end buffer when channels are cut,
-// 7 reserved. Buffer A at +8, buffer B at +8+cap.
 func (k *Kernel) chanSend(regime, ci int, v Word) Word {
 	if ci < 0 || ci >= len(k.cfg.Channels) {
 		return 0
@@ -956,15 +953,15 @@ func (k *Kernel) chanSend(regime, ci int, v Word) Word {
 		return 0
 	}
 	base := k.chanBase(ci)
-	capa := k.m.ReadPhys(base + 3)
-	count := k.m.ReadPhys(base + 2)
+	capa := k.m.ReadPhys(base + chCap)
+	count := k.m.ReadPhys(base + chCount)
 	if count >= capa {
 		return 0
 	}
-	tail := k.m.ReadPhys(base + 1)
-	k.m.WritePhys(base+8+tail, v)
-	k.m.WritePhys(base+1, (tail+1)%capa)
-	k.m.WritePhys(base+2, count+1)
+	tail := k.m.ReadPhys(base + chTail)
+	k.m.WritePhys(base+chBuf+tail, v)
+	k.m.WritePhys(base+chTail, (tail+1)%capa)
+	k.m.WritePhys(base+chCount, count+1)
 	k.sends[regime]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvChanSend, Regime: regime, Arg: ci,
@@ -985,15 +982,15 @@ func (k *Kernel) chanRecv(regime, ci int) (Word, Word) {
 	if k.cfg.CutChannels {
 		// The read end is aliased to buffer B, which nothing ever fills:
 		// the channel has been cut.
-		bCount := k.m.ReadPhys(base + 6)
+		bCount := k.m.ReadPhys(base + chCountB)
 		if bCount == 0 {
 			return 0, 0
 		}
-		capa := k.m.ReadPhys(base + 3)
-		head := k.m.ReadPhys(base + 4)
-		v := k.m.ReadPhys(base + 8 + capa + head)
-		k.m.WritePhys(base+4, (head+1)%capa)
-		k.m.WritePhys(base+6, bCount-1)
+		capa := k.m.ReadPhys(base + chCap)
+		head := k.m.ReadPhys(base + chHeadB)
+		v := k.m.ReadPhys(base + chBuf + capa + head)
+		k.m.WritePhys(base+chHeadB, (head+1)%capa)
+		k.m.WritePhys(base+chCountB, bCount-1)
 		k.recvs[regime]++
 		if k.tracer != nil {
 			k.emit(obs.Event{Kind: obs.EvChanRecv, Regime: regime, Arg: ci,
@@ -1001,15 +998,15 @@ func (k *Kernel) chanRecv(regime, ci int) (Word, Word) {
 		}
 		return 1, v
 	}
-	count := k.m.ReadPhys(base + 2)
+	count := k.m.ReadPhys(base + chCount)
 	if count == 0 {
 		return 0, 0
 	}
-	capa := k.m.ReadPhys(base + 3)
-	head := k.m.ReadPhys(base + 0)
-	v := k.m.ReadPhys(base + 8 + head)
-	k.m.WritePhys(base+0, (head+1)%capa)
-	k.m.WritePhys(base+2, count-1)
+	capa := k.m.ReadPhys(base + chCap)
+	head := k.m.ReadPhys(base + chHead)
+	v := k.m.ReadPhys(base + chBuf + head)
+	k.m.WritePhys(base+chHead, (head+1)%capa)
+	k.m.WritePhys(base+chCount, count-1)
 	k.recvs[regime]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvChanRecv, Regime: regime, Arg: ci,
@@ -1024,15 +1021,15 @@ func (k *Kernel) chanPoll(regime, ci int) (Word, Word) {
 	}
 	ch := k.cfg.Channels[ci]
 	base := k.chanBase(ci)
-	capa := k.m.ReadPhys(base + 3)
+	capa := k.m.ReadPhys(base + chCap)
 	switch k.cfg.Regimes[regime].Name {
 	case ch.From:
-		return 1, capa - k.m.ReadPhys(base+2)
+		return 1, capa - k.m.ReadPhys(base+chCount)
 	case ch.To:
 		if k.cfg.CutChannels {
-			return 1, k.m.ReadPhys(base + 6)
+			return 1, k.m.ReadPhys(base + chCountB)
 		}
-		return 1, k.m.ReadPhys(base + 2)
+		return 1, k.m.ReadPhys(base + chCount)
 	}
 	return 0, 0
 }

@@ -68,6 +68,20 @@ const (
 	saveStride  Word = 16
 )
 
+// Channel header layout, relative to a channel's base (Kernel.chanBase).
+// Sends fill buffer A. When channels are cut, receives drain buffer B,
+// which nothing ever fills; otherwise they drain buffer A. Word 5 (buffer
+// B's tail) is never written and word 7 is reserved.
+const (
+	chHead   Word = 0 // buffer A: slot of the oldest queued word
+	chTail   Word = 1 // buffer A: slot the next send fills
+	chCount  Word = 2 // buffer A: words queued
+	chCap    Word = 3 // capacity of each buffer, in words
+	chHeadB  Word = 4 // buffer B: slot of the oldest queued word
+	chCountB Word = 6 // buffer B: words queued
+	chBuf    Word = 8 // buffer A's first slot; buffer B follows at chBuf+capacity
+)
+
 // RegimeState values stored in a regime's saveState word.
 const (
 	StateRunnable Word = 1 // eligible for the round-robin

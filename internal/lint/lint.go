@@ -44,8 +44,7 @@
 //     written by internal/artifact alone, so the ID rule and the
 //     one-rename write rule have one implementation. os.CreateTemp and
 //     os.Rename may appear only there, and crypto/sha256 may be imported
-//     only there and by the two packages that hash for other reasons:
-//     internal/machine (Snapshot.Hash) and internal/auth.
+//     only there and by internal/auth, which hashes for other reasons.
 package lint
 
 import (
@@ -87,7 +86,7 @@ var rawMutators = map[string]bool{
 // the barrier) may call them; everyone else goes through machine.Inject or
 // the I/O page so delta snapshots journal the mutation.
 var deviceMutators = map[string]bool{
-	"InjectInput": true, "InjectString": true, "DrainOutput": true,
+	"InjectInput": true, "InjectString": true,
 	"RestoreState": true, "WriteReg": true,
 }
 
@@ -104,7 +103,6 @@ var tracerFields = map[string]bool{"tracer": true, "events": true}
 // sha256Allowed lists the package directories that may import crypto/sha256.
 var sha256Allowed = map[string]bool{
 	"internal/artifact": true,
-	"internal/machine":  true,
 	"internal/auth":     true,
 }
 

@@ -195,7 +195,8 @@ func (m *M) tick() {
 }
 
 // Atomic-write primitives and SHA-256 stay inside internal/artifact (plus
-// the two allowlisted hashing packages); tests may use them anywhere.
+// the allowlisted hashing package internal/auth); tests may use them
+// anywhere.
 func TestArtifactIO(t *testing.T) {
 	root := t.TempDir()
 	const offender = `package x
@@ -208,7 +209,7 @@ func f(p string) error { return os.Rename(p+".tmp", p) }
 `
 	write(t, root, "internal/witness/x.go", strings.Replace(offender, "package x", "package witness", 1))
 	write(t, root, "internal/artifact/x.go", strings.Replace(offender, "package x", "package artifact", 1))
-	write(t, root, "internal/machine/x.go", `package machine
+	write(t, root, "internal/auth/x.go", `package auth
 import "crypto/sha256"
 var _ = sha256.Sum256
 `)

@@ -99,6 +99,9 @@ func (c *Clock) SnapshotState() []Word {
 	return []Word{Word(c.left), c.count, boolWord(c.ie), boolWord(c.pend)}
 }
 
+// CheckState implements Device.
+func (c *Clock) CheckState(ws []Word) error { return checkStateLen(c, ws, 4) }
+
 // RestoreState implements Device.
 func (c *Clock) RestoreState(ws []Word) {
 	c.left = int(ws[0])

@@ -1,5 +1,7 @@
 package machine
 
+import "fmt"
+
 // Device is a memory-mapped peripheral. Its registers occupy a contiguous
 // block of the I/O page; the machine assigns the block base and an interrupt
 // vector when the device is attached. SM11 has no DMA — following the SUE
@@ -30,6 +32,17 @@ type Device interface {
 	SnapshotState() []Word
 	// RestoreState is the inverse of SnapshotState.
 	RestoreState(ws []Word)
+	// CheckState reports an error when ws is not a vector RestoreState
+	// accepts.
+	CheckState(ws []Word) error
+}
+
+// checkStateLen reports a state vector for d whose length is not want.
+func checkStateLen(d Device, ws []Word, want int) error {
+	if len(ws) != want {
+		return fmt.Errorf("machine: device %q state has %d words, want %d", d.Name(), len(ws), want)
+	}
+	return nil
 }
 
 // Replicator is implemented by devices that can manufacture a fresh,
@@ -59,10 +72,9 @@ type InputSink interface {
 // world (the model's OUTPUT function observes these).
 type OutputSource interface {
 	Device
-	// PeekOutput returns the output emitted so far without consuming it.
+	// PeekOutput returns a copy of the output emitted so far, non-nil even
+	// when empty.
 	PeekOutput() []Word
-	// DrainOutput returns and clears the emitted output.
-	DrainOutput() []Word
 }
 
 // I/O page layout (physical word addresses). Everything at or above IOBase

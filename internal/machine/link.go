@@ -119,6 +119,9 @@ func (l *LinkTX) SnapshotState() []Word {
 	return []Word{boolWord(l.ie), boolWord(l.pend), boolWord(l.wasR)}
 }
 
+// CheckState implements Device.
+func (l *LinkTX) CheckState(ws []Word) error { return checkStateLen(l, ws, 3) }
+
 // RestoreState implements Device.
 func (l *LinkTX) RestoreState(ws []Word) {
 	l.ie = ws[0] != 0
@@ -193,6 +196,9 @@ func (l *LinkRX) Ack() { l.pend = false }
 func (l *LinkRX) SnapshotState() []Word {
 	return []Word{boolWord(l.ie), boolWord(l.pend), boolWord(l.wasR)}
 }
+
+// CheckState implements Device.
+func (l *LinkRX) CheckState(ws []Word) error { return checkStateLen(l, ws, 3) }
 
 // RestoreState implements Device.
 func (l *LinkRX) RestoreState(ws []Word) {

@@ -559,8 +559,42 @@ func TestSnapshotDetectsDifference(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("snapshots equal despite RAM difference")
 	}
-	if a.Hash() == b.Hash() {
-		t.Error("hashes equal despite RAM difference")
+}
+
+// Every device accepts the state vector it snapshots and refuses one a
+// word shorter or longer, and Restore refuses such a snapshot without
+// changing the machine.
+func TestCheckStateMatchesSnapshotState(t *testing.T) {
+	m := machine.New(0x400)
+	tty, lp := machine.NewTTY("tty", 1), machine.NewPrinter("lp", 1)
+	tx, rx := machine.NewLink("ln", 4)
+	for _, d := range []machine.Device{tty, lp, machine.NewClock("clk", 3), tx, rx} {
+		m.Attach(d)
+	}
+	tty.InjectString("hi")
+	tty.WriteReg(3, 'x')
+	lp.WriteReg(1, 'y')
+	for _, d := range m.Devices() {
+		ws := d.SnapshotState()
+		if err := d.CheckState(ws); err != nil {
+			t.Errorf("%s refuses its own state: %v", d.Name(), err)
+		}
+		if err := d.CheckState(ws[:len(ws)-1]); err == nil {
+			t.Errorf("%s accepts its state one word short", d.Name())
+		}
+		if err := d.CheckState(append(ws, 0)); err == nil {
+			t.Errorf("%s accepts its state one word long", d.Name())
+		}
+	}
+	before := m.Snapshot()
+	bad := m.Snapshot()
+	bad.RAM[0] = 1
+	bad.Devices[0] = bad.Devices[0][:3]
+	if err := m.Restore(bad); err == nil {
+		t.Fatal("Restore accepted a 3-word TTY state")
+	}
+	if !m.Snapshot().Equal(before) {
+		t.Error("a refused Restore changed the machine")
 	}
 }
 

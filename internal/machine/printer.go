@@ -98,14 +98,7 @@ func (p *Printer) Pending() bool { return p.pend }
 func (p *Printer) Ack() { p.pend = false }
 
 // PeekOutput implements OutputSource.
-func (p *Printer) PeekOutput() []Word { return append([]Word(nil), p.out...) }
-
-// DrainOutput implements OutputSource.
-func (p *Printer) DrainOutput() []Word {
-	o := p.out
-	p.out = nil
-	return o
-}
+func (p *Printer) PeekOutput() []Word { return append(make([]Word, 0, len(p.out)), p.out...) }
 
 // OutputString renders the print stream as a byte string.
 func (p *Printer) OutputString() string {
@@ -120,6 +113,16 @@ func (p *Printer) OutputString() string {
 func (p *Printer) SnapshotState() []Word {
 	ws := []Word{Word(p.busy), boolWord(p.ie), boolWord(p.pend), Word(len(p.out))}
 	return append(ws, p.out...)
+}
+
+// CheckState implements Device: four words, then as many output words as
+// word 3 counts.
+func (p *Printer) CheckState(ws []Word) error {
+	want := 4
+	if len(ws) >= want {
+		want += int(ws[3])
+	}
+	return checkStateLen(p, ws, want)
 }
 
 // RestoreState implements Device.

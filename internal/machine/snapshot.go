@@ -2,8 +2,6 @@ package machine
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -46,14 +44,28 @@ func (m *Machine) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore overwrites the machine's state from a snapshot taken on a machine
-// with the same RAM size and device complement.
-func (m *Machine) Restore(s *Snapshot) error {
+// CheckSnapshot reports an error when s does not fit this machine: when its
+// RAM size or device count differs, or a device cannot restore its vector.
+func (m *Machine) CheckSnapshot(s *Snapshot) error {
 	if len(s.RAM) != m.ramWords {
 		return fmt.Errorf("machine: snapshot RAM %d words, machine has %d", len(s.RAM), m.ramWords)
 	}
 	if len(s.Devices) != len(m.devices) {
 		return fmt.Errorf("machine: snapshot has %d devices, machine has %d", len(s.Devices), len(m.devices))
+	}
+	for i, d := range m.devices {
+		if err := d.CheckState(s.Devices[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Restore overwrites the machine's state from a snapshot that fits it (see
+// CheckSnapshot); on an error it changes nothing.
+func (m *Machine) Restore(s *Snapshot) error {
+	if err := m.CheckSnapshot(s); err != nil {
+		return err
 	}
 	m.regs = s.Regs
 	m.altSP = s.AltSP
@@ -85,46 +97,12 @@ func (m *Machine) Restore(s *Snapshot) error {
 	return nil
 }
 
-// Encode serializes the snapshot canonically; equal states produce equal
-// encodings.
-func (s *Snapshot) Encode() []byte {
-	var buf bytes.Buffer
-	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
-	w(s.Regs[:])
-	w(s.AltSP)
-	w(s.PSW)
-	w(s.SegBase[:])
-	w(s.SegCtl[:])
-	w(s.MMUStat)
-	w(s.MMUAddr)
-	w(boolWord(s.Halted))
-	w(boolWord(s.Waiting))
-	w(s.TrapCode)
-	w(s.RAM)
-	for _, dv := range s.Devices {
-		w(Word(len(dv)))
-		w(dv)
-	}
-	return buf.Bytes()
-}
-
-// Hash returns a digest of the canonical encoding.
-func (s *Snapshot) Hash() [32]byte { return sha256.Sum256(s.Encode()) }
-
-// Equal reports whether two snapshots are identical.
+// Equal reports whether two snapshots are identical: whether their wire
+// encodings are (MarshalBinary cannot fail).
 func (s *Snapshot) Equal(o *Snapshot) bool {
-	return bytes.Equal(s.Encode(), o.Encode())
-}
-
-// Clone returns a deep copy of the snapshot.
-func (s *Snapshot) Clone() *Snapshot {
-	c := *s
-	c.RAM = append([]Word(nil), s.RAM...)
-	c.Devices = nil
-	for _, dv := range s.Devices {
-		c.Devices = append(c.Devices, append([]Word(nil), dv...))
-	}
-	return &c
+	sb, _ := s.MarshalBinary()
+	ob, _ := o.MarshalBinary()
+	return bytes.Equal(sb, ob)
 }
 
 func boolWord(b bool) Word {

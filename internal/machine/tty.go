@@ -23,7 +23,7 @@ type TTY struct {
 	txBusy int // ticks until transmitter is ready again
 	txRate int
 	txIE   bool
-	out    []Word // everything transmitted since reset/drain
+	out    []Word // everything transmitted since reset
 
 	// Interrupt request latches: set on a ready transition (or on enabling
 	// interrupts while ready), cleared by Ack. Edge-latching keeps a slow
@@ -91,14 +91,7 @@ func (t *TTY) InjectString(s string) {
 }
 
 // PeekOutput implements OutputSource.
-func (t *TTY) PeekOutput() []Word { return append([]Word(nil), t.out...) }
-
-// DrainOutput implements OutputSource.
-func (t *TTY) DrainOutput() []Word {
-	o := t.out
-	t.out = nil
-	return o
-}
+func (t *TTY) PeekOutput() []Word { return append(make([]Word, 0, len(t.out)), t.out...) }
 
 // OutputString renders the accumulated output as a byte string.
 func (t *TTY) OutputString() string {
@@ -207,6 +200,16 @@ func (t *TTY) SnapshotState() []Word {
 	ws = append(ws, t.rxQueue...)
 	ws = append(ws, t.out...)
 	return ws
+}
+
+// CheckState implements Device: ten words, then as many queued input and
+// output words as words 8 and 9 count.
+func (t *TTY) CheckState(ws []Word) error {
+	want := 10
+	if len(ws) >= want {
+		want += int(ws[8]) + int(ws[9])
+	}
+	return checkStateLen(t, ws, want)
 }
 
 // RestoreState implements Device.

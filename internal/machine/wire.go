@@ -6,12 +6,10 @@ import (
 	"fmt"
 )
 
-// Self-describing binary codec for snapshots. Encode (snapshot.go) is the
-// canonical digest form — compact but undecodable, since it carries no
-// length headers — and cannot change without invalidating every recorded
-// Hash. MarshalBinary is the persistence form: versioned, length-prefixed
-// and bounds-checked so a snapshot written by one build can be decoded by
-// another (or rejected cleanly when it cannot).
+// Self-describing binary codec for snapshots, and their one encoding:
+// Snapshot.Equal compares it, and witnesses persist it. It is versioned,
+// length-prefixed and bounds-checked so a snapshot written by one build can
+// be decoded by another (or rejected cleanly when it cannot).
 
 const (
 	wireMagic   = 0x534d3131 // "SM11"

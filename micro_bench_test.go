@@ -121,15 +121,6 @@ func BenchmarkMicroSnapshotRestore(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroSnapshotHash(b *testing.B) {
-	m := machine.New(0x2000)
-	s := m.Snapshot()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Hash()
-	}
-}
-
 func BenchmarkMicroAbstract(b *testing.B) {
 	sys, err := verifysys.Build(verifysys.ProbePlain, kernel.Leaks{}, true)
 	if err != nil {
