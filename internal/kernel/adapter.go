@@ -502,7 +502,9 @@ func (a *Adapter) RandomInput(r model.Rand) model.Input {
 
 // RandomInputMatching implements model.Perturbable: keep the stimuli of
 // c's input sinks from i, and give every other input sink a one-in-three
-// chance of one or two random words.
+// chance of one or two random words. The vector is allocated only once a
+// sink gets a stimulus; a draw that gives none returns InputVec(nil),
+// which applies as a plain tick and encodes as "{}".
 func (a *Adapter) RandomInputMatching(c model.Colour, i model.Input, r model.Rand) model.Input {
 	k := a.K
 	ri := k.RegimeIndex(string(c))
@@ -511,24 +513,29 @@ func (a *Adapter) RandomInputMatching(c model.Colour, i model.Input, r model.Ran
 		orig = i.(InputVec)
 	}
 	devs := k.m.Devices()
-	out := make(InputVec, len(devs))
+	var out InputVec
 	for j, d := range devs {
 		if _, ok := d.(machine.InputSink); !ok {
 			continue
 		}
+		var ws []Word
 		if ri >= 0 && k.devOwner[j] == ri {
-			if j < len(orig) {
-				out[j] = slices.Clone(orig[j])
+			if j >= len(orig) || orig[j] == nil {
+				continue
 			}
-			continue
-		}
-		if r.Intn(3) == 0 {
-			ws := make([]Word, 1+r.Intn(2))
+			ws = slices.Clone(orig[j])
+		} else if r.Intn(3) == 0 {
+			ws = make([]Word, 1+r.Intn(2))
 			for n := range ws {
 				ws[n] = Word(r.Uint32() & 0xff)
 			}
-			out[j] = ws
+		} else {
+			continue
 		}
+		if out == nil {
+			out = make(InputVec, len(devs))
+		}
+		out[j] = ws
 	}
 	return out
 }

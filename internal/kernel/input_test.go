@@ -252,6 +252,38 @@ func TestRandomInputMatchesOracle(t *testing.T) {
 		t.Fatal("no colour ever kept a stimulus: the matching half went unchecked")
 	}
 
+	// A draw that gives no sink a stimulus is the empty InputVec: it encodes
+	// as "{}", extracts "" for every colour and applies as a plain tick.
+	empties := 0
+	for seed := int64(0); seed < 200; seed++ {
+		in := a.RandomInput(rand.New(rand.NewSource(seed)))
+		if len(stimuliByName(a, in)) > 0 {
+			continue
+		}
+		empties++
+		if enc, err := a.EncodeInput(in); err != nil || string(enc) != "{}" {
+			t.Fatalf("seed %d: empty draw encodes %q, %v; want {}", seed, enc, err)
+		}
+		for _, c := range cols {
+			if x := a.ExtractInput(c, in); x != "" {
+				t.Fatalf("seed %d colour %s: empty draw extracts %q", seed, c, x)
+			}
+		}
+		ref := a.Save()
+		a.ApplyInput(in)
+		got, _ := a.EncodeState(a.Save())
+		a.Restore(ref)
+		a.ApplyInput(nil)
+		want, _ := a.EncodeState(a.Save())
+		a.Restore(ref)
+		if string(got) != string(want) {
+			t.Fatalf("seed %d: applying the empty draw is not a plain tick", seed)
+		}
+	}
+	if empties == 0 {
+		t.Fatal("no seed drew an empty input: the empty case went unchecked")
+	}
+
 	// Outputs: empty and written ones, extracted per colour as the oracle
 	// renders them.
 	for round := 0; round < 3; round++ {

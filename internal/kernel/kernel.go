@@ -597,7 +597,7 @@ func (k *Kernel) StepCPU() {
 		}
 	}
 	// Hardware interrupts outrank everything; let the machine dispatch.
-	if !k.m.InterruptPending() {
+	if _, pending := k.m.PendingDevice(); !pending {
 		if j := k.deliverablePending(); j >= 0 {
 			k.deliverIRQ(k.current(), j)
 			return
@@ -690,7 +690,8 @@ func (k *Kernel) AllIdle() bool {
 			return false
 		}
 	}
-	return !k.m.InterruptPending()
+	_, pending := k.m.PendingDevice()
+	return !pending
 }
 
 // --- kernel entry service ---
@@ -1067,27 +1068,12 @@ func (k *Kernel) WriteRegimeMem(i int, vaddr Word, v Word) bool {
 
 // RegimeReg returns register r of regime i as the regime would see it:
 // live machine state when the regime is current and in user mode, its save
-// area otherwise.
+// area otherwise (whose slots run R0–R5, SP, PC in register order).
 func (k *Kernel) RegimeReg(i, r int) Word {
 	if i == k.current() && machine.IsUser(k.m.PSW()) {
-		switch r {
-		case machine.RegSP:
-			return k.m.Reg(machine.RegSP)
-		case machine.RegPC:
-			return k.m.PC()
-		default:
-			return k.m.Reg(r)
-		}
+		return k.m.Reg(r)
 	}
-	sb := saveBase(i)
-	switch r {
-	case machine.RegSP:
-		return k.m.ReadPhys(sb + saveSP)
-	case machine.RegPC:
-		return k.m.ReadPhys(sb + savePC)
-	default:
-		return k.m.ReadPhys(sb + saveR0 + Word(r))
-	}
+	return k.m.ReadPhys(saveBase(i) + saveR0 + Word(r))
 }
 
 // Stats reports kernel activity counters. Like the tracer, the counters

@@ -58,6 +58,8 @@ const (
 	kdSaves     Word = 16
 
 	// Per-regime save area, stride words each, at kdSaves + i*saveStride.
+	// The first eight slots hold R0–R5, SP, PC in machine register order,
+	// so register r is saved at saveR0+r (Kernel.RegimeReg relies on it).
 	saveR0      Word = 0 // R0..R5 at +0..+5
 	saveSP      Word = 6
 	savePC      Word = 7

@@ -501,7 +501,7 @@ func (s *trapSync) check(fset *token.FileSet) []Diagnostic {
 			diags = append(diags, Diagnostic{
 				Pos:  fset.Position(s.required[n]),
 				Rule: "trap-summary-sync",
-				Msg: fmt.Sprintf("%s is declared in the kernel layout but never referenced by the trap footprint table (footprint.go); add it to the relevant TrapFootprint so the static analyzer models it", n),
+				Msg:  fmt.Sprintf("%s is declared in the kernel layout but never referenced by the trap footprint table (footprint.go); add it to the relevant TrapFootprint so the static analyzer models it", n),
 			})
 		}
 	}

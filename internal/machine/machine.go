@@ -457,13 +457,6 @@ func (m *Machine) TickDevices() {
 // check per TickDevices when disabled.
 func (m *Machine) SetEventTracer(t obs.Tracer) { m.events = t }
 
-// InterruptPending reports whether a device interrupt would be dispatched
-// by the next StepCPU.
-func (m *Machine) InterruptPending() bool {
-	_, ok := m.highestPending()
-	return ok
-}
-
 // PendingDevice returns the index of the device whose interrupt the next
 // StepCPU would dispatch, or ok=false if none.
 func (m *Machine) PendingDevice() (int, bool) {

@@ -119,11 +119,10 @@ type Replicable interface {
 // verdicts stay identical across workers, shards and runs; it need not be
 // a hash of the string.
 //
-// The randomized checker never persists these values: it compares them on
-// its hot path and reports violations with DigestString of the re-derived
-// strings. The exhaustive checker still stores digests in its Violations
-// and shard files, so an Enumerable must not implement Digester unless the
-// digest is DigestString of Abstract.
+// The checkers never persist these values. They compare them on their hot
+// paths and report every violation with DigestString of the re-derived
+// encodings, so witnesses, shard files and ledgers are the same whichever
+// digest a system implements.
 type Digester interface {
 	AbstractDigest(c Colour) uint64
 }

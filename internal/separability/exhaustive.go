@@ -47,8 +47,8 @@ import (
 // identical however the space was partitioned.
 //
 // The cap is tested before a violation is built, because building one
-// re-derives its Detail on the system (a Restore, usually a Step, and the
-// renderings). Construction is skipped whenever truncation would drop the
+// re-derives its two encodings on the system (a Restore, usually a Step,
+// and the renderings). Construction is skipped whenever truncation would drop the
 // violation anyway, by two rules:
 //
 //   - Chunk cap: the chunk's result for the colour already holds
@@ -218,7 +218,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	frontier := startChunk
 	acc := make([]*Result, nc)
 	for ci := range acc {
-		acc[ci] = &Result{Checks: map[Condition]int{}}
+		acc[ci] = &Result{}
 	}
 	if opt.Checkpoint != "" {
 		ck, err := ReadShardCheckpoint(opt.Checkpoint)
@@ -379,7 +379,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 			}
 			perColour := make([]*Result, nc)
 			for ci := range perColour {
-				perColour[ci] = &Result{Checks: map[Condition]int{}}
+				perColour[ci] = &Result{}
 			}
 			lo, hi := chunkBounds(cj, chunkSize, len(states))
 			for si := lo; si < hi; si++ {
@@ -434,16 +434,14 @@ type exhEngine struct {
 }
 
 // sweepWorker is one replica's scratch in the chunk sweep. For the chunk
-// being swept it holds, per colour, the condition counts, the op-class
-// counts and the violations built per condition, plus the fold's
-// saturation masks as of the chunk's claim. flush writes the counts into
-// the chunk's Results once.
+// being swept it holds, per colour, the op-class counts and the violations
+// built per condition, plus the fold's saturation masks as of the chunk's
+// claim. flush writes the op-class counts into the chunk's Results once.
 type sweepWorker struct {
 	sys     model.Enumerable
 	max     int // MaxViolations
 	info    stateInfo
-	checks  [][ConditionSched + 1]int
-	built   [][ConditionSched + 1]int
+	built   []Counts
 	ops     [][]int // [colour][index into classes]
 	full    []uint32
 	classOf map[model.OpID]int
@@ -455,8 +453,7 @@ func newSweepWorker(sys model.Enumerable, nc, max int) *sweepWorker {
 	return &sweepWorker{
 		sys:     sys,
 		max:     max,
-		checks:  make([][ConditionSched + 1]int, nc),
-		built:   make([][ConditionSched + 1]int, nc),
+		built:   make([]Counts, nc),
 		ops:     make([][]int, nc),
 		full:    make([]uint32, nc),
 		classOf: map[model.OpID]int{},
@@ -488,36 +485,32 @@ func (w *sweepWorker) room(ci int, cond Condition) bool {
 	return true
 }
 
-// flush writes the chunk's non-zero counts into its per-colour Results and
+// flush writes the chunk's op-class counts into its per-colour Results and
 // resets the worker for the next chunk.
 func (w *sweepWorker) flush(out []*Result) {
 	for ci, res := range out {
-		for cond, n := range w.checks[ci] {
-			if n > 0 {
-				res.countN(Condition(cond), n)
-			}
-		}
 		for k, n := range w.ops[ci] {
 			res.countOp(w.classes[k], n)
 		}
-		w.checks[ci] = [ConditionSched + 1]int{}
-		w.built[ci] = [ConditionSched + 1]int{}
+		w.built[ci] = Counts{}
 		clear(w.ops[ci])
 	}
 }
 
 // checkState runs every condition for every colour at state si, whose
-// stateInfo is w.info, appending violations to the chunk's per-colour
-// results and counting into w. The condition order per (state, colour) is
+// stateInfo is w.info, counting into and appending violations to the
+// chunk's per-colour results. The condition order per (state, colour) is
 // fixed — 2, 5, 3 per input, 6, 1, 4 — so violation order is a pure
-// function of enumeration order, independent of chunking. w.sys is used
-// only to re-derive Details for the violations that are built.
+// function of enumeration order, independent of chunking. The stateInfo
+// digests are compared and never leave the process: w.sys re-derives both
+// encodings of each violation that is built, and phiViolation/violation
+// digest them.
 func (e *exhEngine) checkState(w *sweepWorker, si int, out []*Result) {
 	sys, info := w.sys, &w.info
 	cls := -1
 	for ci, c := range e.colours {
 		res := out[ci]
-		checks := &w.checks[ci]
+		checks := &res.Checks
 		ent := e.leads[ci][info.phi[ci]]
 		n := 0 // condition instances checked at this (state, colour)
 
@@ -527,9 +520,8 @@ func (e *exhEngine) checkState(w *sweepWorker, si int, out []*Result) {
 			checks[Condition2]++
 			n++
 			if info.phiOp[ci] != info.phi[ci] && w.room(ci, Condition2) {
-				res.add(Violation{Condition: Condition2, Colour: c, Op: info.op,
-					Step: si, Want: info.phi[ci], Got: info.phiOp[ci],
-					Detail: diffDetail(phiAt(sys, info.ref, c), phiOpAt(sys, info.ref, c))})
+				res.add(phiViolation(Condition2, c, info.op, 0, si, "",
+					phiAt(sys, info.ref, c), phiOpAt(sys, info.ref, c)))
 			}
 		}
 
@@ -542,21 +534,17 @@ func (e *exhEngine) checkState(w *sweepWorker, si int, out []*Result) {
 			// Condition 5: outputs agree across the bucket.
 			checks[Condition5]++
 			if info.outEx[ci] != lead.outEx[ci] && w.room(ci, Condition5) {
-				res.add(Violation{Condition: Condition5, Colour: c, Op: info.op,
-					Step: si, Want: lead.outEx[ci], Got: info.outEx[ci],
-					Detail: fmt.Sprintf("EXTRACT(c,OUTPUT) %q vs %q",
-						outExAt(sys, lead.ref, c), outExAt(sys, info.ref, c))})
+				want, got := outExAt(sys, lead.ref, c), outExAt(sys, info.ref, c)
+				res.add(violation(Condition5, c, info.op, 0, si, want, got,
+					fmt.Sprintf("EXTRACT(c,OUTPUT) %q vs %q", want, got)))
 			}
 
 			// Condition 3: inputs act congruently across the bucket.
 			checks[Condition3] += len(e.inputs)
-			for ii := range e.inputs {
+			for ii, in := range e.inputs {
 				if info.phiIn[ii][ci] != lead.phiIn[ii][ci] && w.room(ci, Condition3) {
-					res.add(Violation{Condition: Condition3, Colour: c, Op: info.op,
-						Step: si, Want: lead.phiIn[ii][ci], Got: info.phiIn[ii][ci],
-						Detail: fmt.Sprintf("input %d: %s", ii,
-							diffDetail(phiInAt(sys, lead.ref, e.inputs[ii], c),
-								phiInAt(sys, info.ref, e.inputs[ii], c)))})
+					res.add(phiViolation(Condition3, c, info.op, 0, si, fmt.Sprintf("input %d: ", ii),
+						phiInAt(sys, lead.ref, in, c), phiInAt(sys, info.ref, in, c)))
 				}
 			}
 		}
@@ -567,16 +555,13 @@ func (e *exhEngine) checkState(w *sweepWorker, si int, out []*Result) {
 			n += 2
 			checks[Condition6]++
 			if info.op != aLead.op && w.room(ci, Condition6) {
-				res.add(Violation{Condition: Condition6, Colour: c, Op: info.op,
-					Step: si,
-					Want: model.DigestString(string(aLead.op)), Got: model.DigestString(string(info.op)),
-					Detail: fmt.Sprintf("NEXTOP %q vs %q", aLead.op, info.op)})
+				res.add(violation(Condition6, c, info.op, 0, si, string(aLead.op), string(info.op),
+					fmt.Sprintf("NEXTOP %q vs %q", aLead.op, info.op)))
 			}
 			checks[Condition1]++
 			if info.phiOp[ci] != aLead.phiOp[ci] && w.room(ci, Condition1) {
-				res.add(Violation{Condition: Condition1, Colour: c, Op: info.op,
-					Step: si, Want: aLead.phiOp[ci], Got: info.phiOp[ci],
-					Detail: diffDetail(phiOpAt(sys, aLead.ref, c), phiOpAt(sys, info.ref, c))})
+				res.add(phiViolation(Condition1, c, info.op, 0, si, "",
+					phiOpAt(sys, aLead.ref, c), phiOpAt(sys, info.ref, c)))
 			}
 		}
 
@@ -599,10 +584,9 @@ func (e *exhEngine) checkState(w *sweepWorker, si int, out []*Result) {
 			checks[Condition4]++
 			n++
 			if info.phiIn[ii][ci] != info.phiIn[first][ci] && w.room(ci, Condition4) {
-				res.add(Violation{Condition: Condition4, Colour: c, Op: info.op,
-					Step: si, Want: info.phiIn[first][ci], Got: info.phiIn[ii][ci],
-					Detail: fmt.Sprintf("inputs %d and %d extract-equal but act differently",
-						first, ii)})
+				res.add(violation(Condition4, c, info.op, 0, si,
+					phiInAt(sys, info.ref, e.inputs[first], c), phiInAt(sys, info.ref, e.inputs[ii], c),
+					fmt.Sprintf("inputs %d and %d extract-equal but act differently", first, ii)))
 			}
 		}
 
@@ -849,7 +833,7 @@ func outExAt(sys model.Enumerable, ref model.StateRef, c model.Colour) string {
 // the per-condition violation cap — the deterministic final fold shared by
 // the in-process engine and the shard-file merge.
 func foldColours(perColour []*Result, max int) *Result {
-	res := &Result{Checks: map[Condition]int{}}
+	res := &Result{}
 	for _, cr := range perColour {
 		res.Merge(cr)
 	}
@@ -863,7 +847,7 @@ func foldColours(perColour []*Result, max int) *Result {
 // truncatePerCondition keeps prefixes, so no later violation of a
 // saturated condition survives.
 func saturatedConditions(vs []Violation, max int) uint32 {
-	var counts [ConditionSched + 1]int
+	var counts Counts
 	var mask uint32
 	for _, v := range vs {
 		if counts[v.Condition]++; counts[v.Condition] >= max {
@@ -878,7 +862,7 @@ func saturatedConditions(vs []Violation, max int) uint32 {
 // condition is associative: applying it per chunk, per shard and on the
 // final fold yields the same survivors as one pass over the whole list.
 func truncatePerCondition(vs []Violation, max int) []Violation {
-	var counts [ConditionSched + 1]int
+	var counts Counts
 	overflow := false
 	for i := range vs {
 		if counts[vs[i].Condition] >= max {

@@ -163,7 +163,7 @@ func TestResultMerge(t *testing.T) {
 	for c, n := range a.Checks {
 		if merged.Checks[c] != n+b.Checks[c] {
 			t.Errorf("merged count for %s = %d, want %d",
-				c, merged.Checks[c], n+b.Checks[c])
+				separability.Condition(c), merged.Checks[c], n+b.Checks[c])
 		}
 	}
 }

@@ -45,20 +45,29 @@ import (
 // ConditionMeta flags a defect in the system's own perturbation operation
 // (the checker validates it before trusting any pair), and
 // ConditionSched is the scheduling-independence extension check, which is
-// deliberately *not* one of the paper's six (see ExtensionNote).
+// deliberately *not* one of the paper's six.
 type Condition int
 
 // Condition values.
 const (
-	ConditionMeta  Condition = 0
-	Condition1     Condition = 1
-	Condition2     Condition = 2
-	Condition3     Condition = 3
-	Condition4     Condition = 4
-	Condition5     Condition = 5
-	Condition6     Condition = 6
+	ConditionMeta Condition = 0
+	Condition1    Condition = 1
+	Condition2    Condition = 2
+	Condition3    Condition = 3
+	Condition4    Condition = 4
+	Condition5    Condition = 5
+	Condition6    Condition = 6
+	// ConditionSched is an extension, off by default. The six conditions
+	// deliberately permit scheduling channels: "denial of service is not a
+	// security problem" for the single-function systems the SUE serves
+	// (paper, section 3). The extension requires that WHICH colour runs
+	// next never depends on state outside the active colour's abstract
+	// machine and the kernel's own scheduling state.
 	ConditionSched Condition = 7
 )
+
+// Counts holds one count per Condition, indexed by the condition.
+type Counts [ConditionSched + 1]int
 
 // String names the condition.
 func (c Condition) String() string {
@@ -72,14 +81,6 @@ func (c Condition) String() string {
 	}
 }
 
-// ExtensionNote explains ConditionSched's standing relative to the paper.
-const ExtensionNote = `The six conditions of the paper deliberately permit
-scheduling channels: "denial of service is not a security problem" for the
-single-function systems the SUE serves (paper, section 3). The
-scheduling-independence check is therefore an extension, off by default:
-it requires that WHICH colour runs next never depends on state outside the
-active colour's abstract machine and the kernel's own scheduling state.`
-
 // Violation is one counterexample to one condition.
 type Violation struct {
 	Condition Condition
@@ -88,14 +89,32 @@ type Violation struct {
 	Detail    string
 	Trial     int
 	Step      int
-	// Want and Got are FNV-1a digests of the two encodings whose
-	// disagreement constitutes the violation: of the Φ^c renderings for the
-	// state-congruence conditions (Meta, 1, 2, 3, 4), and of the compared
-	// extracts, OpIDs or colours for conditions 5, 6 and the scheduling
-	// extension. They identify a counterexample across runs
-	// (package witness matches replayed violations on them) without
-	// re-deriving the full canonical strings.
+	// Want and Got are FNV-1a digests (model.DigestString) of the two
+	// encodings whose disagreement constitutes the violation: of the Φ^c
+	// renderings for the state-congruence conditions (Meta, 1, 2, 3, 4),
+	// and of the compared extracts, OpIDs or colours for conditions 5, 6
+	// and the scheduling extension. Both checkers build every Violation
+	// from the re-derived encodings (see violation), never from the
+	// in-memory digests they compare, so the values are the same for every
+	// model.Digester. They identify a counterexample across runs (package
+	// witness matches replayed violations on them) without re-deriving the
+	// full canonical strings.
 	Want, Got uint64
+}
+
+// violation builds the Violation at (c, op, trial, step) for the two
+// disagreeing encodings want and got.
+func violation(cond Condition, c model.Colour, op model.OpID, trial, step int,
+	want, got, detail string) Violation {
+	return Violation{Condition: cond, Colour: c, Op: op, Trial: trial, Step: step,
+		Want: model.DigestString(want), Got: model.DigestString(got), Detail: detail}
+}
+
+// phiViolation is violation for two Φ^c renderings; its Detail is prefix
+// followed by where the renderings first differ.
+func phiViolation(cond Condition, c model.Colour, op model.OpID, trial, step int,
+	prefix, want, got string) Violation {
+	return violation(cond, c, op, trial, step, want, got, prefix+diffDetail(want, got))
 }
 
 func (v Violation) String() string {
@@ -112,7 +131,7 @@ func (v Violation) String() string {
 type Result struct {
 	Violations []Violation
 	// Checks counts how many instances of each condition were verified.
-	Checks map[Condition]int
+	Checks Counts
 	// OpChecks buckets the verified condition instances by the operation
 	// class of the checked state (model.OpClass of its NEXTOP), feeding the
 	// metrics-guided exploration work: under-exercised operation classes
@@ -127,26 +146,13 @@ func (r *Result) Passed() bool { return len(r.Violations) == 0 }
 
 // Summary renders a one-line outcome.
 func (r *Result) Summary() string {
-	total := 0
-	for _, n := range r.Checks {
-		total += n
-	}
 	if r.Passed() {
-		return fmt.Sprintf("PASS: %d condition instances verified, 0 violations", total)
+		return fmt.Sprintf("PASS: %d condition instances verified, 0 violations", r.totalChecks())
 	}
 	return fmt.Sprintf("FAIL: %d violations (first: %s)", len(r.Violations), r.Violations[0])
 }
 
 func (r *Result) add(v Violation) { r.Violations = append(r.Violations, v) }
-
-func (r *Result) count(c Condition) { r.countN(c, 1) }
-
-func (r *Result) countN(c Condition, n int) {
-	if r.Checks == nil {
-		r.Checks = map[Condition]int{}
-	}
-	r.Checks[c] += n
-}
 
 func (r *Result) countOp(class string, n int) {
 	if n == 0 {
@@ -159,7 +165,8 @@ func (r *Result) countOp(class string, n int) {
 }
 
 // totalChecks sums Checks across conditions; checkState uses before/after
-// totals to attribute a state's checks to its operation class.
+// totals to attribute a state's checks to its operation class, and Summary
+// reports it.
 func (r *Result) totalChecks() int {
 	total := 0
 	for _, n := range r.Checks {
@@ -181,7 +188,7 @@ func (r *Result) Merge(other *Result) {
 		r.add(v)
 	}
 	for c, n := range other.Checks {
-		r.countN(c, n)
+		r.Checks[c] += n
 	}
 	for class, n := range other.OpChecks {
 		r.countOp(class, n)
@@ -279,7 +286,7 @@ func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 	}
 	// One worker, or a system that cannot be replicated: the
 	// single-threaded engine produces the same Result a pool would.
-	res := &Result{Checks: map[Condition]int{}}
+	res := &Result{}
 	for trial := 0; trial < opt.Trials; trial++ {
 		// Deterministic stopping rule (shared with the parallel merge):
 		// stop starting trials once the merged prefix hit the cap.
@@ -307,7 +314,7 @@ func runTrialsParallel(replicas []model.Perturbable, opt Options, colours []mode
 		}
 	})
 	// Merge under the deterministic stopping rule the serial engine uses.
-	res := &Result{Checks: map[Condition]int{}}
+	res := &Result{}
 	for _, r := range results {
 		if len(res.Violations) >= opt.MaxViolations {
 			break
@@ -346,7 +353,7 @@ func trialSeed(seed int64, trial int) int64 {
 // even over a shrunk prefix — see WalkTrial, CheckStateSeeded and package
 // witness.
 func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Colour) *Result {
-	res := &Result{Checks: map[Condition]int{}}
+	res := &Result{}
 	// Live progress counter: one atomic increment per checked state, so a
 	// -progress consumer sees movement inside long trials, not just
 	// between them. Everything else is recorded once per trial.
@@ -390,7 +397,9 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 			reg.Counter("sep_violations_total").Add(uint64(n))
 		}
 		for c, n := range res.Checks {
-			reg.Counter(fmt.Sprintf("sep_checks_total{condition=%q}", c.String())).Add(uint64(n))
+			if n > 0 {
+				reg.Counter(fmt.Sprintf("sep_checks_total{condition=%q}", Condition(c).String())).Add(uint64(n))
+			}
 		}
 		for class, n := range res.OpChecks {
 			reg.Counter(fmt.Sprintf("sep_checks_by_op_total{op=%q}", class)).Add(uint64(n))
@@ -407,11 +416,9 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 // All hot-path Φ comparisons use 64-bit in-memory digests
 // (model.AbstractDigest) rather than the canonical strings; the strings are
 // re-derived — by restoring the relevant states and calling Abstract — only
-// on the cold path where a violation is reported. The digests are never
-// persisted: a Φ violation's Want and Got are the FNV-1a digests
-// (model.DigestString) of those re-derived strings, the same values for
-// every Digester, so witnesses, shard records and ledgers do not depend on
-// how a system compares Φ in memory. A digest collision could mask a real
+// on the cold path where a violation is reported, and phiViolation digests
+// them. The in-memory digests are never persisted, so witnesses, shard
+// records and ledgers do not depend on how a system compares Φ in memory. A digest collision could mask a real
 // violation with probability ~2^-64 per comparison, which is far below the
 // residual risk of sampling itself.
 //
@@ -442,16 +449,13 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 		return sys.Abstract(c)
 	}
 
-	// phiViolation reports a Φc disagreement. The sweep compared in-memory
-	// digests; the violation carries the FNV digests of the two canonical
-	// renderings, which is what leaves the process. got renders the
-	// disagreeing state; want re-derives the expected rendering, moving
-	// the system (every caller resets the scope afterwards).
-	phiViolation := func(cond Condition, what string, want func() string, got string) Violation {
-		w := want()
-		return Violation{Condition: cond, Colour: c, Op: op, Trial: trial, Step: step,
-			Want: model.DigestString(w), Got: model.DigestString(got),
-			Detail: what + diffDetail(w, got)}
+	// reportPhi records a Φc disagreement found by comparing in-memory
+	// digests. It renders the disagreeing state the system is in, then
+	// calls want to re-derive the expected rendering, which moves the
+	// system (every caller resets the scope afterwards).
+	reportPhi := func(cond Condition, prefix string, want func() string) {
+		got := sys.Abstract(c)
+		res.add(phiViolation(cond, c, op, trial, step, prefix, want(), got))
 	}
 
 	if active != c {
@@ -459,9 +463,9 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 		// Φc. Single-state check, no perturbation needed.
 		sys.Step()
 		if model.AbstractDigest(sys, c) != phi0 {
-			res.add(phiViolation(Condition2, "", phiString, sys.Abstract(c)))
+			reportPhi(Condition2, "", phiString)
 		}
-		res.count(Condition2)
+		res.Checks[Condition2]++
 		sc.reset()
 	} else {
 		// Conditions 1 and 6 via a perturbed twin: Φc is preserved by
@@ -473,29 +477,26 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 
 		sys.PerturbOutside(c, rng)
 		if model.AbstractDigest(sys, c) != phi0 {
-			res.add(phiViolation(ConditionMeta, "PerturbOutside failed to preserve Φc: ",
-				phiString, sys.Abstract(c)))
-			res.count(ConditionMeta)
+			reportPhi(ConditionMeta, "PerturbOutside failed to preserve Φc: ", phiString)
+			res.Checks[ConditionMeta]++
 			return
 		}
 		if sys.Colour() == c {
 			op2 := sys.NextOp()
-			res.count(Condition6)
+			res.Checks[Condition6]++
 			if op2 != op {
-				res.add(Violation{Condition: Condition6, Colour: c, Op: op,
-					Trial: trial, Step: step,
-					Want: model.DigestString(string(op)), Got: model.DigestString(string(op2)),
-					Detail: fmt.Sprintf("NEXTOP %q vs %q on Φc-equal states", op, op2)})
+				res.add(violation(Condition6, c, op, trial, step, string(op), string(op2),
+					fmt.Sprintf("NEXTOP %q vs %q on Φc-equal states", op, op2)))
 			}
 			sys.Step()
-			res.count(Condition1)
+			res.Checks[Condition1]++
 			if model.AbstractDigest(sys, c) != phiAfter {
-				res.add(phiViolation(Condition1, "Φc after op differs on Φc-equal states: ",
+				reportPhi(Condition1, "Φc after op differs on Φc-equal states: ",
 					func() string {
 						sc.reset()
 						sys.Step()
 						return sys.Abstract(c)
-					}, sys.Abstract(c)))
+					})
 			}
 		}
 		sc.reset()
@@ -507,12 +508,10 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 	out0 := sys.ExtractOutput(c, sys.CurrentOutput())
 	sys.PerturbOutside(c, rng)
 	if model.AbstractDigest(sys, c) == phi0 {
-		res.count(Condition5)
+		res.Checks[Condition5]++
 		if out1 := sys.ExtractOutput(c, sys.CurrentOutput()); out1 != out0 {
-			res.add(Violation{Condition: Condition5, Colour: c, Op: op,
-				Trial: trial, Step: step,
-				Want: model.DigestString(out0), Got: model.DigestString(out1),
-				Detail: fmt.Sprintf("EXTRACT(c,OUTPUT) %q vs %q", out0, out1)})
+			res.add(violation(Condition5, c, op, trial, step, out0, out1,
+				fmt.Sprintf("EXTRACT(c,OUTPUT) %q vs %q", out0, out1)))
 		}
 	}
 	sc.reset()
@@ -531,10 +530,9 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 	sys.PerturbOutside(c, rng)
 	if model.AbstractDigest(sys, c) == phi0 {
 		sys.ApplyInput(in)
-		res.count(Condition3)
+		res.Checks[Condition3]++
 		if model.AbstractDigest(sys, c) != phiIn {
-			res.add(phiViolation(Condition3, "Φc after INPUT differs on Φc-equal states: ",
-				phiInString, sys.Abstract(c)))
+			reportPhi(Condition3, "Φc after INPUT differs on Φc-equal states: ", phiInString)
 		}
 	}
 	sc.reset()
@@ -543,10 +541,9 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 	in2 := sys.RandomInputMatching(c, in, rng)
 	if sys.ExtractInput(c, in) == sys.ExtractInput(c, in2) {
 		sys.ApplyInput(in2)
-		res.count(Condition4)
+		res.Checks[Condition4]++
 		if model.AbstractDigest(sys, c) != phiIn {
-			res.add(phiViolation(Condition4, "Φc after INPUT differs on EXTRACT-equal inputs: ",
-				phiInString, sys.Abstract(c)))
+			reportPhi(Condition4, "Φc after INPUT differs on EXTRACT-equal inputs: ", phiInString)
 		}
 		sc.reset()
 	}
@@ -560,12 +557,10 @@ func checkState(sys model.Perturbable, c model.Colour, rng model.Rand,
 		sys.PerturbOutside(c, rng)
 		if model.AbstractDigest(sys, c) == phi0 && sys.Colour() == c {
 			sys.Step()
-			res.count(ConditionSched)
+			res.Checks[ConditionSched]++
 			if got := sys.Colour(); got != colAfter {
-				res.add(Violation{Condition: ConditionSched, Colour: c, Op: op,
-					Trial: trial, Step: step,
-					Want: model.DigestString(string(colAfter)), Got: model.DigestString(string(got)),
-					Detail: fmt.Sprintf("next active colour %q vs %q after identical op", colAfter, got)})
+				res.add(violation(ConditionSched, c, op, trial, step, string(colAfter), string(got),
+					fmt.Sprintf("next active colour %q vs %q after identical op", colAfter, got)))
 			}
 		}
 		sc.reset()

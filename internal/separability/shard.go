@@ -128,7 +128,7 @@ type ViolationRecord struct {
 }
 
 // ResultRecord is the codec form of one per-colour Result. Checks is keyed
-// by the integer Condition value.
+// by the integer Condition value and holds only the non-zero counts.
 type ResultRecord struct {
 	Violations []ViolationRecord `json:"violations,omitempty"`
 	Checks     map[string]int    `json:"checks,omitempty"`
@@ -345,7 +345,7 @@ func MergeShards(srs []*ShardResult) (*Result, error) {
 	nc := len(want.Colours)
 	perColour := make([]*Result, nc)
 	for ci := range perColour {
-		perColour[ci] = &Result{Checks: map[Condition]int{}}
+		perColour[ci] = &Result{}
 	}
 	for i, sr := range sorted {
 		if sr.Shard != i {
@@ -407,11 +407,14 @@ func resultRecord(r *Result) *ResultRecord {
 	for _, v := range r.Violations {
 		rr.Violations = append(rr.Violations, NewViolationRecord(v))
 	}
-	if len(r.Checks) > 0 {
-		rr.Checks = make(map[string]int, len(r.Checks))
-		for c, n := range r.Checks {
-			rr.Checks[strconv.Itoa(int(c))] = n
+	for c, n := range r.Checks {
+		if n == 0 {
+			continue
 		}
+		if rr.Checks == nil {
+			rr.Checks = map[string]int{}
+		}
+		rr.Checks[strconv.Itoa(c)] = n
 	}
 	if len(r.OpChecks) > 0 {
 		rr.OpChecks = make(map[string]int, len(r.OpChecks))
@@ -425,7 +428,7 @@ func resultRecord(r *Result) *ResultRecord {
 // result decodes the record back into a Result, rejecting malformed
 // digests, unknown conditions and negative counts.
 func (rr *ResultRecord) result() (*Result, error) {
-	r := &Result{Checks: map[Condition]int{}, States: rr.States}
+	r := &Result{States: rr.States}
 	for i, vr := range rr.Violations {
 		if vr.Condition < int(ConditionMeta) || vr.Condition > int(ConditionSched) {
 			return nil, fmt.Errorf("violation %d: unknown condition %d", i, vr.Condition)

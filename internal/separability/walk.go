@@ -102,7 +102,7 @@ func WalkTrial(sys model.Perturbable, opt Options, trial int, visit func(step in
 func CheckStateSeeded(sys model.Perturbable, c model.Colour, seed int64,
 	trial, step int, sched bool) []Violation {
 
-	res := &Result{Checks: map[Condition]int{}}
+	res := &Result{}
 	checkState(sys, c, newStepRand(seed), res, trial, step, Options{CheckScheduling: sched})
 	return res.Violations
 }

@@ -675,4 +675,3 @@ func (a *analysis) step(in *Instr, st *state, pc Colour, report bool) {
 	// Branches, JMP, WAIT and NOP move no data; branch conditions reach
 	// the analysis through control dependence instead.
 }
-

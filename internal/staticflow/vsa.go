@@ -43,9 +43,9 @@ type vset struct {
 	vals []Word
 }
 
-func vsTop() vset            { return vset{top: true} }
-func vsConst(w Word) vset    { return vset{vals: []Word{w}} }
-func (v vset) known() bool   { return !v.top && len(v.vals) > 0 }
+func vsTop() vset             { return vset{top: true} }
+func vsConst(w Word) vset     { return vset{vals: []Word{w}} }
+func (v vset) known() bool    { return !v.top && len(v.vals) > 0 }
 func (v vset) isBottom() bool { return !v.top && len(v.vals) == 0 }
 
 // norm sorts, dedups and caps a value list into a vset.

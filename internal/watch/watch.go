@@ -295,9 +295,10 @@ func (w *Watcher) CheckDeployment(d Deployment) (*Record, error) {
 		return nil, fmt.Errorf("watch: %s: reading ledger: %w", d.Name, err)
 	}
 	var prevTrace []obs.Event
-	if head != nil {
-		// A missing or corrupt blob degrades drift location (DivergeAt -1),
-		// it does not block recording.
+	if head != nil && head.TraceDigest != rec.TraceDigest {
+		// ClassifyDrift reads the previous trace only to locate a digest
+		// drift. A missing or corrupt blob degrades drift location
+		// (DivergeAt -1), it does not block recording.
 		prevTrace, _ = led.LoadTrace(head)
 	}
 	rec.Drift = ClassifyDrift(head, rec, prevTrace, trace)

@@ -29,10 +29,10 @@ func TestWitnessField(t *testing.T) {
 		diffAt int
 		want   string
 	}{
-		{3, "r0"},       // r0 value, window starts at 0
-		{43, "r5"},      // r5 value, window starts mid-string
-		{66, "cc"},      // cc value
-		{95, "mem"},     // inside the partition dump
+		{3, "r0"},   // r0 value, window starts at 0
+		{43, "r5"},  // r5 value, window starts mid-string
+		{66, "cc"},  // cc value
+		{95, "mem"}, // inside the partition dump
 		{112, "ch:wp:free"},
 	}
 	for _, c := range cases {
