@@ -155,10 +155,12 @@ watch-smoke:
 
 # Race-detector pass over the concurrent verification engine, the kernel
 # adapter and MiniSUE replicas it sweeps (whose workers share the fold's
-# saturation masks), the witness store fed from worker results, and the
-# observability counters they share. CI runs this target.
+# saturation masks), the machine whose devices reuse their state buffers
+# in place (no two replicas may share one), the witness store fed from
+# worker results, and the observability counters they share. CI runs this
+# target.
 race:
-	$(GO) test -race ./internal/separability/... ./internal/minisue/... ./internal/kernel/... ./internal/witness/... ./internal/obs/... ./internal/watch/...
+	$(GO) test -race ./internal/separability/... ./internal/minisue/... ./internal/machine/... ./internal/kernel/... ./internal/witness/... ./internal/obs/... ./internal/watch/...
 
 test:
 	$(GO) test ./...

@@ -54,10 +54,15 @@ type Adapter struct {
 
 	colours []model.Colour
 
-	// phiWords is the scratch vector Φ^c is gathered into (see
-	// gatherPhi). NewAdapter leaves it nil, so a clone never shares its
-	// original's.
+	// The hot-path buffers the adapter owns: phiWords is the scratch
+	// vector Φ^c is gathered into (see gatherPhi), out the vector
+	// CurrentOutput refills and outBox the same vector boxed once as a
+	// model.Output, and cp the payload Checkpoint hands out. NewAdapter
+	// leaves them zero, so a clone never shares its original's.
 	phiWords []Word
+	out      OutputVec
+	outBox   model.Output
+	cp       adapterCheckpoint
 }
 
 // KernelColour is returned by Colour for states where the next operation
@@ -109,13 +114,16 @@ type adapterCheckpoint struct {
 }
 
 // Checkpoint implements model.Checkpointer. Returns nil (caller falls back
-// to Save/Restore) when a delta is already active on the machine.
+// to Save/Restore) when a delta is already active on the machine. The
+// payload is the adapter's own: at most one delta is active per machine,
+// so at most one checkpoint is live at a time.
 func (a *Adapter) Checkpoint() model.Checkpoint {
 	d := a.K.m.DeltaSnapshot()
 	if d == nil {
 		return nil
 	}
-	return &adapterCheckpoint{delta: d, dead: a.K.dead}
+	a.cp = adapterCheckpoint{delta: d, dead: a.K.dead}
+	return &a.cp
 }
 
 // Rollback implements model.Checkpointer.
@@ -207,16 +215,27 @@ func (a *Adapter) ApplyInput(i model.Input) {
 	a.K.m.TickDevices()
 }
 
-// CurrentOutput implements model.SharedSystem.
+// CurrentOutput implements model.SharedSystem. It refills the vector the
+// adapter owns, reusing each entry's storage, so the value it returns
+// stays valid only until the system's state changes or CurrentOutput is
+// called again. An output source's entry is non-nil even when it has
+// emitted nothing: extract renders it as "name=;".
 func (a *Adapter) CurrentOutput() model.Output {
 	devs := a.K.m.Devices()
-	ov := make(OutputVec, len(devs))
+	if a.outBox == nil || len(a.out) != len(devs) {
+		a.out = make(OutputVec, len(devs))
+		a.outBox = a.out
+	}
 	for j, d := range devs {
 		if src, ok := d.(machine.OutputSource); ok {
-			ov[j] = src.PeekOutput()
+			ws := src.AppendOutput(a.out[j][:0])
+			if ws == nil {
+				ws = []Word{}
+			}
+			a.out[j] = ws
 		}
 	}
-	return ov
+	return a.outBox
 }
 
 // hexWord appends w as four lower-case hex digits (fmt's %04x). Φ^c is
@@ -276,8 +295,11 @@ func (a *Adapter) gatherPhi(dst []Word, c model.Colour) []Word {
 		k.m.ReadPhys(sb+savePending), k.m.ReadPhys(sb+saveIPL))
 	dst = append(dst, k.m.RAMSlice(r.Base, r.Size)...)
 	for _, d := range r.Devices {
-		st := d.SnapshotState()
-		dst = append(append(dst, Word(len(st)), Word(len(st)>>16)), st...)
+		// Reserve the length words, append the state, then patch them.
+		at := len(dst)
+		dst = d.AppendState(append(dst, 0, 0))
+		n := len(dst) - at - 2
+		dst[at], dst[at+1] = Word(n), Word(n>>16)
 	}
 	for ci, ch := range k.cfg.Channels {
 		base := k.chanBase(ci)
@@ -409,19 +431,35 @@ func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
 func (a *Adapter) extract(c model.Colour, vec [][]Word) string {
 	k := a.K
 	ri := k.RegimeIndex(string(c))
+	if ri < 0 {
+		return ""
+	}
 	devs := k.m.Devices()
-	var b []byte
+	// Size the rendering first, so it is written into one exact buffer.
+	n := 0
 	for j, ws := range vec {
-		if ws == nil || ri < 0 || k.devOwner[j] != ri {
+		if ws != nil && k.devOwner[j] == ri {
+			n += len(devs[j].Name()) + 4*len(ws) + 2
+		}
+	}
+	if n == 0 {
+		return ""
+	}
+	var b strings.Builder
+	b.Grow(n)
+	var hex [4]byte
+	for j, ws := range vec {
+		if ws == nil || k.devOwner[j] != ri {
 			continue
 		}
-		b = append(append(b, devs[j].Name()...), '=')
+		b.WriteString(devs[j].Name())
+		b.WriteByte('=')
 		for _, w := range ws {
-			b = hexWord(b, w)
+			b.Write(hexWord(hex[:0], w))
 		}
-		b = append(b, ';')
+		b.WriteByte(';')
 	}
-	return string(b)
+	return b.String()
 }
 
 // Clone implements model.Replicable: it builds a fresh machine carrying

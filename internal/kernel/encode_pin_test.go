@@ -102,14 +102,20 @@ func encodingWalk(t *testing.T, sys *kernel.Adapter, seed int64, steps int) (uin
 		op := sys.NextOp()
 		classes[sys.ClassifyOp(op)] = true
 		fmt.Fprintf(&trace, "%d op=%s\n", s, op)
+		// CurrentOutput's value is valid only until the next call on the
+		// system, so every extract is taken first.
 		out := sys.CurrentOutput()
-		for _, c := range cols {
+		outs := make([]string, len(cols))
+		for ci, c := range cols {
+			outs[ci] = sys.ExtractOutput(c, out)
+		}
+		for ci, c := range cols {
 			str := sys.Abstract(c)
 			if err := part.check(c, sys.AbstractDigest(c), str); err != nil {
 				t.Fatalf("step %d: %v", s, err)
 			}
 			fmt.Fprintf(&trace, " %s phi=%016x out=%s in=%s\n", c, model.DigestString(str),
-				sys.ExtractOutput(c, out), sys.ExtractInput(c, in))
+				outs[ci], sys.ExtractInput(c, in))
 		}
 	}
 	for s := 0; s < steps; s++ {

@@ -94,9 +94,9 @@ func (c *Clock) Pending() bool { return c.pend }
 // Ack implements Device.
 func (c *Clock) Ack() { c.pend = false }
 
-// SnapshotState implements Device.
-func (c *Clock) SnapshotState() []Word {
-	return []Word{Word(c.left), c.count, boolWord(c.ie), boolWord(c.pend)}
+// AppendState implements Device.
+func (c *Clock) AppendState(dst []Word) []Word {
+	return append(dst, Word(c.left), c.count, boolWord(c.ie), boolWord(c.pend))
 }
 
 // CheckState implements Device.

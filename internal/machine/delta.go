@@ -178,7 +178,7 @@ func (m *Machine) writeRAM(a, v Word) {
 func (m *Machine) touchDevice(i int) {
 	if d := m.delta; d != nil && !d.devTouched[i] {
 		d.devTouched[i] = true
-		d.devOld[i] = append(d.devOld[i][:0], m.devices[i].SnapshotState()...)
+		d.devOld[i] = m.devices[i].AppendState(d.devOld[i][:0])
 	}
 }
 

@@ -28,9 +28,12 @@ type Device interface {
 	Priority() int
 	// Ack tells the device its interrupt has been taken.
 	Ack()
-	// SnapshotState serializes all security-relevant device state.
-	SnapshotState() []Word
-	// RestoreState is the inverse of SnapshotState.
+	// AppendState appends all security-relevant device state to dst and
+	// returns the extended slice; the words already in dst are left as
+	// they are.
+	AppendState(dst []Word) []Word
+	// RestoreState is the inverse of AppendState. It copies ws into the
+	// device's own buffers and keeps no reference to ws.
 	RestoreState(ws []Word)
 	// CheckState reports an error when ws is not a vector RestoreState
 	// accepts.
@@ -72,9 +75,9 @@ type InputSink interface {
 // world (the model's OUTPUT function observes these).
 type OutputSource interface {
 	Device
-	// PeekOutput returns a copy of the output emitted so far, non-nil even
-	// when empty.
-	PeekOutput() []Word
+	// AppendOutput appends the output emitted so far to dst and returns
+	// the extended slice (nil when dst is nil and nothing was emitted).
+	AppendOutput(dst []Word) []Word
 }
 
 // I/O page layout (physical word addresses). Everything at or above IOBase

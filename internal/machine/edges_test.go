@@ -169,14 +169,14 @@ func TestLinkDeviceSnapshotRoundTrip(t *testing.T) {
 	tx, rx := machine.NewLink("w", 4)
 	tx.WriteReg(0, 0x40)
 	tx.Tick()
-	s := tx.SnapshotState()
+	s := tx.AppendState(nil)
 	tx2, _ := machine.NewLink("w2", 4)
 	tx2.RestoreState(s)
-	if tx2.SnapshotState()[0] != s[0] {
+	if tx2.AppendState(nil)[0] != s[0] {
 		t.Error("LinkTX state did not round-trip")
 	}
 	rx.WriteReg(0, 0x40)
-	rs := rx.SnapshotState()
+	rs := rx.AppendState(nil)
 	if len(rs) != 3 {
 		t.Errorf("LinkRX snapshot = %v", rs)
 	}
@@ -208,7 +208,7 @@ func TestPrinterDevice(t *testing.T) {
 		t.Errorf("printed %q", got)
 	}
 	// Snapshot round-trip with output buffered.
-	s := p.SnapshotState()
+	s := p.AppendState(nil)
 	p2 := machine.NewPrinter("lp2", 2)
 	p2.RestoreState(s)
 	if p2.OutputString() != "AB" {
@@ -222,11 +222,11 @@ func TestClockSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Tick()
 	}
-	s := c.SnapshotState()
+	s := c.AppendState(nil)
 	c2 := machine.NewClock("c2", 7)
 	c2.RestoreState(s)
 	for i := range s {
-		if c2.SnapshotState()[i] != s[i] {
+		if c2.AppendState(nil)[i] != s[i] {
 			t.Fatalf("clock state word %d did not round-trip", i)
 		}
 	}

@@ -564,7 +564,7 @@ func TestSnapshotDetectsDifference(t *testing.T) {
 // Every device accepts the state vector it snapshots and refuses one a
 // word shorter or longer, and Restore refuses such a snapshot without
 // changing the machine.
-func TestCheckStateMatchesSnapshotState(t *testing.T) {
+func TestCheckStateMatchesAppendState(t *testing.T) {
 	m := machine.New(0x400)
 	tty, lp := machine.NewTTY("tty", 1), machine.NewPrinter("lp", 1)
 	tx, rx := machine.NewLink("ln", 4)
@@ -575,7 +575,7 @@ func TestCheckStateMatchesSnapshotState(t *testing.T) {
 	tty.WriteReg(3, 'x')
 	lp.WriteReg(1, 'y')
 	for _, d := range m.Devices() {
-		ws := d.SnapshotState()
+		ws := d.AppendState(nil)
 		if err := d.CheckState(ws); err != nil {
 			t.Errorf("%s refuses its own state: %v", d.Name(), err)
 		}

@@ -97,8 +97,8 @@ func (p *Printer) Pending() bool { return p.pend }
 // Ack implements Device.
 func (p *Printer) Ack() { p.pend = false }
 
-// PeekOutput implements OutputSource.
-func (p *Printer) PeekOutput() []Word { return append(make([]Word, 0, len(p.out)), p.out...) }
+// AppendOutput implements OutputSource.
+func (p *Printer) AppendOutput(dst []Word) []Word { return append(dst, p.out...) }
 
 // OutputString renders the print stream as a byte string.
 func (p *Printer) OutputString() string {
@@ -109,10 +109,10 @@ func (p *Printer) OutputString() string {
 	return string(b)
 }
 
-// SnapshotState implements Device.
-func (p *Printer) SnapshotState() []Word {
-	ws := []Word{Word(p.busy), boolWord(p.ie), boolWord(p.pend), Word(len(p.out))}
-	return append(ws, p.out...)
+// AppendState implements Device.
+func (p *Printer) AppendState(dst []Word) []Word {
+	dst = append(dst, Word(p.busy), boolWord(p.ie), boolWord(p.pend), Word(len(p.out)))
+	return append(dst, p.out...)
 }
 
 // CheckState implements Device: four words, then as many output words as
@@ -125,11 +125,12 @@ func (p *Printer) CheckState(ws []Word) error {
 	return checkStateLen(p, ws, want)
 }
 
-// RestoreState implements Device.
+// RestoreState implements Device: the print stream is copied into the
+// printer's own buffer, reusing its storage.
 func (p *Printer) RestoreState(ws []Word) {
 	p.busy = int(ws[0])
 	p.ie = ws[1] != 0
 	p.pend = ws[2] != 0
 	n := int(ws[3])
-	p.out = append([]Word(nil), ws[4:4+n]...)
+	p.out = append(p.out[:0], ws[4:4+n]...)
 }

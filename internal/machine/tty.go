@@ -90,8 +90,8 @@ func (t *TTY) InjectString(s string) {
 	}
 }
 
-// PeekOutput implements OutputSource.
-func (t *TTY) PeekOutput() []Word { return append(make([]Word, 0, len(t.out)), t.out...) }
+// AppendOutput implements OutputSource.
+func (t *TTY) AppendOutput(dst []Word) []Word { return append(dst, t.out...) }
 
 // OutputString renders the accumulated output as a byte string.
 func (t *TTY) OutputString() string {
@@ -189,17 +189,15 @@ func (t *TTY) Ack() {
 	t.txPend = false
 }
 
-// SnapshotState implements Device.
-func (t *TTY) SnapshotState() []Word {
-	ws := []Word{
+// AppendState implements Device.
+func (t *TTY) AppendState(dst []Word) []Word {
+	dst = append(dst,
 		boolWord(t.rxReady), boolWord(t.rxIE), t.rxData,
 		Word(t.rxDelay), Word(t.txBusy), boolWord(t.txIE),
 		boolWord(t.rxPend), boolWord(t.txPend),
-		Word(len(t.rxQueue)), Word(len(t.out)),
-	}
-	ws = append(ws, t.rxQueue...)
-	ws = append(ws, t.out...)
-	return ws
+		Word(len(t.rxQueue)), Word(len(t.out)))
+	dst = append(dst, t.rxQueue...)
+	return append(dst, t.out...)
 }
 
 // CheckState implements Device: ten words, then as many queued input and
@@ -212,7 +210,8 @@ func (t *TTY) CheckState(ws []Word) error {
 	return checkStateLen(t, ws, want)
 }
 
-// RestoreState implements Device.
+// RestoreState implements Device: the queue and the output history are
+// copied into the TTY's own buffers, reusing their storage.
 func (t *TTY) RestoreState(ws []Word) {
 	t.rxReady = ws[0] != 0
 	t.rxIE = ws[1] != 0
@@ -223,6 +222,6 @@ func (t *TTY) RestoreState(ws []Word) {
 	t.rxPend = ws[6] != 0
 	t.txPend = ws[7] != 0
 	nq, no := int(ws[8]), int(ws[9])
-	t.rxQueue = append([]Word(nil), ws[10:10+nq]...)
-	t.out = append([]Word(nil), ws[10+nq:10+nq+no]...)
+	t.rxQueue = append(t.rxQueue[:0], ws[10:10+nq]...)
+	t.out = append(t.out[:0], ws[10+nq:10+nq+no]...)
 }

@@ -63,7 +63,9 @@ type SharedSystem interface {
 	// ApplyInput applies INPUT(s, i) to the current state.
 	ApplyInput(i Input)
 
-	// CurrentOutput returns OUTPUT(s) of the current state.
+	// CurrentOutput returns OUTPUT(s) of the current state. The value may
+	// share storage with the system: it is valid until the next call on
+	// the system, so a caller extracts from it before anything else.
 	CurrentOutput() Output
 
 	// Abstract computes a canonical encoding of Φ^c(s) for the current

@@ -366,6 +366,8 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 	tseed := trialSeed(opt.Seed, trial)
 	walk := rand.New(rand.NewSource(tseed))
 	sys.Randomize(walk)
+	// One sweep RNG per trial, reseeded at every step.
+	srng := &stepRand{}
 	for step := 0; step < opt.StepsPerTrial; step++ {
 		if len(res.Violations) >= opt.MaxViolations {
 			break
@@ -382,7 +384,7 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 		}
 
 		c := colours[walk.Intn(len(colours))]
-		checkState(sys, c, newStepRand(stepSeed(tseed, step)), res, trial, step, opt)
+		checkState(sys, c, srng.reseed(stepSeed(tseed, step)), res, trial, step, opt)
 		res.States++
 		if liveStates != nil {
 			liveStates.Inc()

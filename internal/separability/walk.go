@@ -33,12 +33,13 @@ func StepCheckSeed(seed int64, trial, step int) int64 {
 }
 
 // stepRand is the condition sweep's RNG: a SplitMix64 generator small
-// enough to create per step without the ~5 KB state of math/rand's default
+// enough to reseed per step without the ~5 KB state of math/rand's default
 // source. It implements model.Rand; determinism of the sweep (and of
 // witness replay) depends only on its seed.
 type stepRand struct{ s uint64 }
 
-func newStepRand(seed int64) *stepRand { return &stepRand{s: uint64(seed)} }
+// reseed restarts the stream at seed and returns r.
+func (r *stepRand) reseed(seed int64) *stepRand { r.s = uint64(seed); return r }
 
 func (r *stepRand) next() uint64 {
 	r.s += 0x9e3779b97f4a7c15
@@ -103,6 +104,6 @@ func CheckStateSeeded(sys model.Perturbable, c model.Colour, seed int64,
 	trial, step int, sched bool) []Violation {
 
 	res := &Result{}
-	checkState(sys, c, newStepRand(seed), res, trial, step, Options{CheckScheduling: sched})
+	checkState(sys, c, new(stepRand).reseed(seed), res, trial, step, Options{CheckScheduling: sched})
 	return res.Violations
 }
