@@ -2,10 +2,13 @@ GO ?= go
 
 .PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke
 
-# Tier-1 gate: vet, build, full test suite.
+# CI's fast gates: vet, gofmt over tracked Go files, build, the
+# repository linter and the full test suite.
 verify:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) build ./...
+	$(GO) run ./cmd/seplint .
 	$(GO) test ./...
 
 # Repository-invariant linter (see internal/lint): obs stays dependency

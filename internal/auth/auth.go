@@ -15,7 +15,6 @@ package auth
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"repro/internal/distsys"
 	"repro/internal/mls"
@@ -127,8 +126,3 @@ func (s *Service) Stats() (attempts, failures int) { return s.attempts, s.failur
 
 // VerifierString renders a credential hash for audit displays.
 func VerifierString(h [32]byte) string { return hex.EncodeToString(h[:8]) }
-
-// Describe renders the service's configuration for documentation tools.
-func (s *Service) Describe() string {
-	return fmt.Sprintf("auth service %q: %d users, announces to %v", s.name, len(s.users), s.servers)
-}

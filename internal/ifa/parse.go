@@ -28,15 +28,6 @@ func Parse(src string) (*Program, error) {
 	return p.parse()
 }
 
-// MustParse is Parse for programs embedded in tests and tools.
-func MustParse(src string) *Program {
-	prog, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return prog
-}
-
 type parser struct {
 	lines []string
 	pos   int

@@ -302,22 +302,18 @@ func (a *Adapter) gatherPhi(dst []Word, c model.Colour) []Word {
 		dst[at], dst[at+1] = Word(n), Word(n>>16)
 	}
 	for ci, ch := range k.cfg.Channels {
-		base := k.chanBase(ci)
-		capa := k.m.ReadPhys(base + chCap)
 		switch string(c) {
 		case ch.From:
-			// The sender observes only the free space.
-			dst = append(dst, capa-k.m.ReadPhys(base+chCount))
+			// The sender observes only the free space at its end.
+			e := k.sendEnd[ci]
+			dst = append(dst, k.m.ReadPhys(e.base+chCap)-k.m.ReadPhys(e.hdr+chCount))
 		case ch.To:
-			// The receiver observes the queued words: buffer B (after
-			// buffer A) in the cut system, the one shared buffer otherwise.
-			cnt, head, buf := k.m.ReadPhys(base+chCount), k.m.ReadPhys(base+chHead), base+chBuf
-			if k.cfg.CutChannels {
-				cnt, head, buf = k.m.ReadPhys(base+chCountB), k.m.ReadPhys(base+chHeadB), base+chBuf+capa
-			}
+			// The receiver observes the words queued at its end.
+			e := k.recvEnd[ci]
+			capa, head, cnt := k.m.ReadPhys(e.base+chCap), k.m.ReadPhys(e.hdr+chHead), k.m.ReadPhys(e.hdr+chCount)
 			dst = append(dst, cnt)
 			for j := Word(0); j < cnt; j++ {
-				dst = append(dst, k.m.ReadPhys(buf+(head+j)%capa))
+				dst = append(dst, k.m.ReadPhys(e.buf+(head+j)%capa))
 			}
 		}
 	}
@@ -386,6 +382,15 @@ func (a *Adapter) appendPhi(dst []byte, c model.Colour, ws []Word) []byte {
 	return dst
 }
 
+// userOpClasses holds the bucket of every opcode machine.DecodeOp can
+// yield from a 16-bit instruction word, so ClassifyOp allocates nothing.
+var userOpClasses = func() (t [1 << 6]string) {
+	for op := range t {
+		t[op] = "user:" + machine.OpName(Word(op))
+	}
+	return t
+}()
+
 // ClassifyOp implements model.OpClassifier: collapse OpIDs (which embed
 // program counters and instruction words — unbounded cardinality) into
 // stable metric buckets. User operations are bucketed by decoded mnemonic:
@@ -399,7 +404,7 @@ func (a *Adapter) ClassifyOp(op model.OpID) string {
 				return "user:unfetchable"
 			}
 			if w, err := strconv.ParseUint(suf, 16, 16); err == nil {
-				return "user:" + machine.OpName(machine.DecodeOp(Word(w)))
+				return userOpClasses[machine.DecodeOp(Word(w))]
 			}
 		}
 		return "user"
@@ -630,25 +635,25 @@ func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 	// changing another colour's visible count is legitimate but makes
 	// counterexample interpretation noisier than necessary).
 	for ci, ch := range k.cfg.Channels {
-		base := k.chanBase(ci)
-		capa := k.m.ReadPhys(base + chCap)
-		// Queued contents are visible only to ch.To. In the cut system the
-		// slack walked is buffer A's, whose contents nobody observes;
-		// buffer B (the read end) belongs to ch.To.
+		e := k.sendEnd[ci]
+		capa := k.m.ReadPhys(e.base + chCap)
+		// Queued contents are visible only to ch.To. The slack walked is
+		// the sending end's; in the cut system nobody observes its
+		// contents, and the receiving end (buffer B) belongs to ch.To.
 		if capa != 0 && ch.To != string(c) {
-			a.perturbRingSlack(base, chBuf, capa, r)
+			a.perturbRingSlack(e, capa, r)
 		}
 	}
 }
 
-// perturbRingSlack randomizes ring-buffer slots outside the live window
-// [head, head+count): those words are invisible to every colour. It walks
-// the capa-count free slots from head+count, wrapping at capa; a count
-// above capa draws every slot.
-func (a *Adapter) perturbRingSlack(base, bufOff, capa Word, r model.Rand) {
+// perturbRingSlack randomizes the slots of end e's ring outside the live
+// window [head, head+count): those words are invisible to every colour. It
+// walks the capa-count free slots from head+count, wrapping at capa; a
+// count above capa draws every slot.
+func (a *Adapter) perturbRingSlack(e chanEnd, capa Word, r model.Rand) {
 	m := a.K.m
-	head := m.ReadPhys(base + chHead)
-	count := m.ReadPhys(base + chCount)
+	head := m.ReadPhys(e.hdr + chHead)
+	count := m.ReadPhys(e.hdr + chCount)
 	free := capa
 	if count <= capa {
 		free = capa - count
@@ -656,7 +661,7 @@ func (a *Adapter) perturbRingSlack(base, bufOff, capa Word, r model.Rand) {
 	idx := (head + count) % capa
 	for j := Word(0); j < free; j++ {
 		if r.Intn(2) == 0 {
-			m.WritePhys(base+bufOff+idx, Word(r.Uint32()))
+			m.WritePhys(e.buf+idx, Word(r.Uint32()))
 		}
 		if idx++; idx == capa {
 			idx = 0

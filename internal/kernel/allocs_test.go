@@ -11,7 +11,7 @@ import (
 // The randomized checker's per-state work reuses buffers the adapter and
 // the machine own: once warm, a Φ^c digest, an output vector and a
 // checkpoint cycle allocate nothing, however long the TTY's output
-// history has grown.
+// history has grown, and neither does bucketing a user operation.
 func TestCheckHotPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under -race")
@@ -38,6 +38,7 @@ func TestCheckHotPathAllocs(t *testing.T) {
 	}{
 		{"AbstractDigest", func() { a.AbstractDigest("worker") }},
 		{"CurrentOutput", func() { a.CurrentOutput() }},
+		{"ClassifyOp", func() { a.ClassifyOp("user:worker@0040:1234") }},
 		{"Checkpoint cycle", func() {
 			cp := a.Checkpoint()
 			a.ApplyInput(nil)

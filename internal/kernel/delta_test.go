@@ -100,6 +100,8 @@ func TestClassifyOp(t *testing.T) {
 		{"field-irq:tty0", "field-irq"},
 		{"user:red@0040:unfetchable", "user:unfetchable"},
 		{"user:red@0040:zzzz", "user"}, // unparsable instruction word
+		{"user:red@0040:0800", "user:MOV"},
+		{"user:red@0040:fc00", "user:OP63"}, // an opcode with no mnemonic
 	}
 	for _, tc := range cases {
 		if got := a.ClassifyOp(model.OpID(tc.op)); got != tc.want {

@@ -42,10 +42,13 @@ type Config struct {
 	Channels []ChannelSpec
 
 	// CutChannels enables the paper's channel-cutting transformation: each
-	// channel's shared buffer X is aliased into X1 (the writer's end) and
-	// X2 (the reader's end), so sends are swallowed and receives find
-	// nothing. Proving the cut system isolated proves the uncut system has
-	// no channels beyond the configured ones.
+	// channel's shared buffer X is aliased into X1 (the writer's end,
+	// buffer A) and X2 (the reader's end, buffer B, which nothing fills),
+	// so sends are swallowed and receives find nothing. It is read once,
+	// where the kernel builds each channel's two ends; SEND, RECV, POLL
+	// and the adapter's Φ^c then run the same code cut or uncut. Proving
+	// the cut system isolated proves the uncut system has no channels
+	// beyond the configured ones.
 	CutChannels bool
 
 	// FixedSlice, when positive, replaces run-until-SWAP scheduling with
@@ -75,11 +78,13 @@ type Kernel struct {
 	m   *machine.Machine
 	cfg Config
 
-	devOwner []int // machine device index -> regime index (-1 unowned)
-	devLocal []int // machine device index -> owned-device ordinal
-	chanOff  []Word
-	chanCap  []Word
-	kEnd     Word // first word after kernel data + channel area
+	devOwner []int     // machine device index -> regime index (-1 unowned)
+	devLocal []int     // machine device index -> owned-device ordinal
+	chanOff  []Word    // channel index -> header base (layout.go)
+	chanCap  []Word    // channel index -> configured capacity
+	sendEnd  []chanEnd // channel index -> the end SEND fills
+	recvEnd  []chanEnd // channel index -> the end RECV drains
+	kEnd     Word      // first word after kernel data + channel area
 
 	dead  bool
 	Cause error // why the kernel died, if dead
@@ -237,6 +242,24 @@ func (k *Kernel) validate() error {
 
 	if k.cfg.Leaks.ChannelAlias && len(k.cfg.Channels) < 2 {
 		return fmt.Errorf("kernel: ChannelAlias leak needs at least two channels")
+	}
+
+	// Each channel's two ends. The sending end is buffer A; the receiving
+	// end is buffer A too, or buffer B when the channels are cut. The
+	// ChannelAlias leak points every channel at channel 0's ends.
+	k.sendEnd = make([]chanEnd, len(k.chanOff))
+	k.recvEnd = make([]chanEnd, len(k.chanOff))
+	for ci := range k.chanOff {
+		src := ci
+		if k.cfg.Leaks.ChannelAlias {
+			src = 0
+		}
+		base := k.chanOff[src]
+		k.sendEnd[ci] = chanEnd{base: base, hdr: base, buf: base + chBuf}
+		k.recvEnd[ci] = k.sendEnd[ci]
+		if k.cfg.CutChannels {
+			k.recvEnd[ci] = chanEnd{base: base, hdr: base + chHdrB, buf: base + chBuf + k.chanCap[src]}
+		}
 	}
 	return nil
 }
@@ -936,15 +959,6 @@ func (k *Kernel) syscall() {
 
 // --- channels ---
 
-// chanBase returns the physical address of channel ci's header (layout.go),
-// honouring the ChannelAlias leak (channels 1.. share channel 0's buffer).
-func (k *Kernel) chanBase(ci int) Word {
-	if k.cfg.Leaks.ChannelAlias && ci > 0 {
-		return k.chanOff[0]
-	}
-	return k.chanOff[ci]
-}
-
 func (k *Kernel) chanSend(regime, ci int, v Word) Word {
 	if ci < 0 || ci >= len(k.cfg.Channels) {
 		return 0
@@ -953,16 +967,16 @@ func (k *Kernel) chanSend(regime, ci int, v Word) Word {
 	if k.cfg.Regimes[regime].Name != ch.From {
 		return 0
 	}
-	base := k.chanBase(ci)
-	capa := k.m.ReadPhys(base + chCap)
-	count := k.m.ReadPhys(base + chCount)
+	e := k.sendEnd[ci]
+	capa := k.m.ReadPhys(e.base + chCap)
+	count := k.m.ReadPhys(e.hdr + chCount)
 	if count >= capa {
 		return 0
 	}
-	tail := k.m.ReadPhys(base + chTail)
-	k.m.WritePhys(base+chBuf+tail, v)
-	k.m.WritePhys(base+chTail, (tail+1)%capa)
-	k.m.WritePhys(base+chCount, count+1)
+	tail := k.m.ReadPhys(e.hdr + chTail)
+	k.m.WritePhys(e.buf+tail, v)
+	k.m.WritePhys(e.hdr+chTail, (tail+1)%capa)
+	k.m.WritePhys(e.hdr+chCount, count+1)
 	k.sends[regime]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvChanSend, Regime: regime, Arg: ci,
@@ -979,35 +993,16 @@ func (k *Kernel) chanRecv(regime, ci int) (Word, Word) {
 	if k.cfg.Regimes[regime].Name != ch.To {
 		return 0, 0
 	}
-	base := k.chanBase(ci)
-	if k.cfg.CutChannels {
-		// The read end is aliased to buffer B, which nothing ever fills:
-		// the channel has been cut.
-		bCount := k.m.ReadPhys(base + chCountB)
-		if bCount == 0 {
-			return 0, 0
-		}
-		capa := k.m.ReadPhys(base + chCap)
-		head := k.m.ReadPhys(base + chHeadB)
-		v := k.m.ReadPhys(base + chBuf + capa + head)
-		k.m.WritePhys(base+chHeadB, (head+1)%capa)
-		k.m.WritePhys(base+chCountB, bCount-1)
-		k.recvs[regime]++
-		if k.tracer != nil {
-			k.emit(obs.Event{Kind: obs.EvChanRecv, Regime: regime, Arg: ci,
-				Name: ch.Name, Value: uint64(v), Occ: int(bCount) - 1})
-		}
-		return 1, v
-	}
-	count := k.m.ReadPhys(base + chCount)
+	e := k.recvEnd[ci]
+	count := k.m.ReadPhys(e.hdr + chCount)
 	if count == 0 {
 		return 0, 0
 	}
-	capa := k.m.ReadPhys(base + chCap)
-	head := k.m.ReadPhys(base + chHead)
-	v := k.m.ReadPhys(base + chBuf + head)
-	k.m.WritePhys(base+chHead, (head+1)%capa)
-	k.m.WritePhys(base+chCount, count-1)
+	capa := k.m.ReadPhys(e.base + chCap)
+	head := k.m.ReadPhys(e.hdr + chHead)
+	v := k.m.ReadPhys(e.buf + head)
+	k.m.WritePhys(e.hdr+chHead, (head+1)%capa)
+	k.m.WritePhys(e.hdr+chCount, count-1)
 	k.recvs[regime]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvChanRecv, Regime: regime, Arg: ci,
@@ -1021,16 +1016,12 @@ func (k *Kernel) chanPoll(regime, ci int) (Word, Word) {
 		return 0, 0
 	}
 	ch := k.cfg.Channels[ci]
-	base := k.chanBase(ci)
-	capa := k.m.ReadPhys(base + chCap)
 	switch k.cfg.Regimes[regime].Name {
 	case ch.From:
-		return 1, capa - k.m.ReadPhys(base+chCount)
+		e := k.sendEnd[ci]
+		return 1, k.m.ReadPhys(e.base+chCap) - k.m.ReadPhys(e.hdr+chCount)
 	case ch.To:
-		if k.cfg.CutChannels {
-			return 1, k.m.ReadPhys(base + chCountB)
-		}
-		return 1, k.m.ReadPhys(base + chCount)
+		return 1, k.m.ReadPhys(k.recvEnd[ci].hdr + chCount)
 	}
 	return 0, 0
 }

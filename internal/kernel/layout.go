@@ -70,19 +70,28 @@ const (
 	saveStride  Word = 16
 )
 
-// Channel header layout, relative to a channel's base (Kernel.chanBase).
-// Sends fill buffer A. When channels are cut, receives drain buffer B,
-// which nothing ever fills; otherwise they drain buffer A. Word 5 (buffer
-// B's tail) is never written and word 7 is reserved.
+// Channel layout, relative to a channel's base: an eight-word header, then
+// two rings of the configured capacity, buffer A at chBuf and buffer B at
+// chBuf+capacity. Each buffer keeps a head, tail and count triple in the
+// header, buffer A's at word 0 and buffer B's at word chHdrB; word 7 is
+// reserved. A channel's sending end is always buffer A. Its receiving end
+// is buffer A too, unless the channels are cut: then it is buffer B, which
+// nothing ever fills, so the channel's shared object X is split into X1
+// (the writer's end) and X2 (the reader's). Kernel.validate builds both
+// ends once (chanEnd); nothing else chooses between the buffers.
 const (
-	chHead   Word = 0 // buffer A: slot of the oldest queued word
-	chTail   Word = 1 // buffer A: slot the next send fills
-	chCount  Word = 2 // buffer A: words queued
-	chCap    Word = 3 // capacity of each buffer, in words
-	chHeadB  Word = 4 // buffer B: slot of the oldest queued word
-	chCountB Word = 6 // buffer B: words queued
-	chBuf    Word = 8 // buffer A's first slot; buffer B follows at chBuf+capacity
+	chHead  Word = 0 // slot of the oldest queued word, relative to an end's triple
+	chTail  Word = 1 // slot the next send fills, relative to an end's triple
+	chCount Word = 2 // words queued, relative to an end's triple
+	chCap   Word = 3 // capacity of each buffer, in words
+	chHdrB  Word = 4 // buffer B's head, tail and count triple
+	chBuf   Word = 8 // buffer A's first slot
 )
+
+// chanEnd is one end of a channel: the channel's header base (whose chCap
+// word gives the ring size), the address of the end's head, tail and count
+// triple, and the address of the end's first ring slot.
+type chanEnd struct{ base, hdr, buf Word }
 
 // RegimeState values stored in a regime's saveState word.
 const (

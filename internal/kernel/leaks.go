@@ -42,12 +42,6 @@ type Leaks struct {
 	OutputCopy bool
 }
 
-// Any reports whether any leak is enabled.
-func (l Leaks) Any() bool {
-	return l.RegisterLeak || l.PartitionOverlap || l.SharedScratch ||
-		l.InterruptMisroute || l.ChannelAlias || l.SchedulerSnoop || l.OutputCopy
-}
-
 // AllLeaks returns one Leaks value per individual leak, for fault-injection
 // sweeps.
 func AllLeaks() map[string]Leaks {

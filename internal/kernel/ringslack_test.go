@@ -106,7 +106,7 @@ func TestPerturbRingSlackMatchesFullWalk(t *testing.T) {
 		a := &Adapter{}
 		gotDraws, gotWrites := runSlack(t, func(m *machine.Machine, r *drawRecorder) {
 			a.K = &Kernel{m: m}
-			a.perturbRingSlack(slackBase, slackBufOff, tc.capa, r)
+			a.perturbRingSlack(chanEnd{base: slackBase, hdr: slackBase, buf: slackBase + slackBufOff}, tc.capa, r)
 		}, tc.head, tc.count, seed)
 		wantDraws, wantWrites := runSlack(t, func(m *machine.Machine, r *drawRecorder) {
 			oldRingSlack(m, slackBase, slackBufOff, tc.capa, r)

@@ -76,9 +76,6 @@ func (l Label) Dominates(o Label) bool {
 // Equal reports label equality.
 func (l Label) Equal(o Label) bool { return l == o }
 
-// Comparable reports whether the two labels are ordered either way.
-func (l Label) Comparable(o Label) bool { return l.Dominates(o) || o.Dominates(l) }
-
 // Lub returns the least upper bound (join) of two labels.
 func Lub(a, b Label) Label {
 	lv := a.Level
