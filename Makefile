@@ -2,10 +2,12 @@ GO ?= go
 
 .PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke
 
-# CI's fast gates: vet, gofmt over tracked Go files, build, the
-# repository linter and the full test suite.
+# CI's fast gates: vet (of this module and of the benchmark module in
+# bench/), gofmt over tracked Go files, build, the repository linter and
+# the full test suite.
 verify:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 	$(GO) build ./...
 	$(GO) run ./cmd/seplint .

@@ -135,7 +135,7 @@ func realMain() int {
 	f.unitsCnt = f.reg.Counter("sep_fleet_units_total")
 
 	if *listen != "" {
-		bound, shutdown, err := obs.ListenMetricsOpts(*listen, f.reg, obs.ListenOptions{})
+		bound, shutdown, err := obs.ListenMetrics(*listen, f.reg, obs.ListenOptions{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "sepfleet:", err)
 			return 2

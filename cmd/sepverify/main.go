@@ -200,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer stop()
 	}
 	if *listen != "" {
-		bound, shutdown, err := obs.ListenMetricsOpts(*listen, reg,
+		bound, shutdown, err := obs.ListenMetrics(*listen, reg,
 			obs.ListenOptions{Pprof: *pprofFlag})
 		if err != nil {
 			fmt.Fprintln(stderr, "sepverify:", err)

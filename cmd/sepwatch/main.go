@@ -179,7 +179,7 @@ func cmdServe(args []string, out, errw io.Writer) int {
 	w := watch.New(cfg)
 
 	if *addr != "" {
-		bound, shutdown, err := obs.ListenMetricsOpts(*addr, cfg.Metrics, obs.ListenOptions{
+		bound, shutdown, err := obs.ListenMetrics(*addr, cfg.Metrics, obs.ListenOptions{
 			Handlers: map[string]http.Handler{"/status": w.StatusHandler()},
 		})
 		if err != nil {

@@ -89,16 +89,8 @@ type Kernel struct {
 	dead  bool
 	Cause error // why the kernel died, if dead
 
-	faults   []FaultInfo // indexed by regime
-	instrs   []uint64    // user instructions executed per regime
-	syscalls []uint64    // kernel services invoked per regime
-	sends    []uint64    // successful channel sends per regime
-	recvs    []uint64    // successful channel receives per regime
-	swaps    uint64
-	irqs     uint64
-	deliver  uint64
-	scheds   uint64 // scheduling decisions (scheduleFrom invocations)
-	switches uint64 // context switches (CPU handed to a different regime)
+	faults []FaultInfo // indexed by regime
+	stats  Stats       // activity counters since Boot
 
 	// Observability (see package obs). The tracer and the counters above
 	// live OUTSIDE the modelled state S: they are not part of any
@@ -280,12 +272,12 @@ func (k *Kernel) Boot() error {
 	k.Cause = nil
 	n := len(k.cfg.Regimes)
 	k.faults = make([]FaultInfo, n)
-	k.instrs = make([]uint64, n)
-	k.syscalls = make([]uint64, n)
-	k.sends = make([]uint64, n)
-	k.recvs = make([]uint64, n)
-	k.swaps, k.irqs, k.deliver = 0, 0, 0
-	k.scheds, k.switches = 0, 0
+	k.stats = Stats{
+		InstrPerRegime:   make([]uint64, n),
+		SyscallPerRegime: make([]uint64, n),
+		SendPerRegime:    make([]uint64, n),
+		RecvPerRegime:    make([]uint64, n),
+	}
 	k.running = -2
 
 	// Vectors and stubs: everything lands on a stub the Go kernel
@@ -442,7 +434,7 @@ func (k *Kernel) runnable(i int) bool {
 // scheduleFrom picks the next runnable regime starting the round-robin at
 // index start; -1 means idle.
 func (k *Kernel) scheduleFrom(start int) int {
-	k.scheds++
+	k.stats.SchedDecisions++
 	n := len(k.cfg.Regimes)
 	for d := 0; d < n; d++ {
 		i := (start + d) % n
@@ -485,7 +477,7 @@ func (k *Kernel) saveCurrent() {
 func (k *Kernel) resume(i int) {
 	m := k.m
 	if i != k.running {
-		k.switches++
+		k.stats.Switches++
 		if k.tracer != nil {
 			prev := k.running
 			if prev < -1 {
@@ -638,7 +630,7 @@ func (k *Kernel) stepMachine() {
 		return
 	}
 	if machine.IsUser(k.m.PSW()) {
-		k.instrs[k.current()]++
+		k.stats.InstrPerRegime[k.current()]++
 		return
 	}
 	if vec, ok := k.enteredVector(); ok {
@@ -754,7 +746,7 @@ func (k *Kernel) service(vec Word) {
 		}
 		k.resume(k.scheduleNext())
 	case vec >= machine.VecDevBase:
-		k.irqs++
+		k.stats.Interrupts++
 		di := int(vec-machine.VecDevBase) / 2
 		if fromUser {
 			k.saveCurrent()
@@ -804,7 +796,7 @@ func (k *Kernel) fieldInterrupt(di int) {
 func (k *Kernel) deliverIRQ(i, j int) {
 	m := k.m
 	sb := saveBase(i)
-	k.deliver++
+	k.stats.Deliveries++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvIRQDeliver, Regime: i,
 			Arg: j, Name: k.cfg.Regimes[i].Name})
@@ -884,7 +876,7 @@ func (k *Kernel) syscall() {
 	i := k.current()
 	sb := saveBase(i)
 	code := m.TrapCode()
-	k.syscalls[i]++
+	k.stats.SyscallPerRegime[i]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvSyscallEnter, Regime: i,
 			Arg: int(code), Name: TrapName(code)})
@@ -905,7 +897,7 @@ func (k *Kernel) syscall() {
 
 	switch code {
 	case TrapSwap:
-		k.swaps++
+		k.stats.Swaps++
 		if k.cfg.FixedSlice > 0 {
 			k.park()
 			return
@@ -977,7 +969,7 @@ func (k *Kernel) chanSend(regime, ci int, v Word) Word {
 	k.m.WritePhys(e.buf+tail, v)
 	k.m.WritePhys(e.hdr+chTail, (tail+1)%capa)
 	k.m.WritePhys(e.hdr+chCount, count+1)
-	k.sends[regime]++
+	k.stats.SendPerRegime[regime]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvChanSend, Regime: regime, Arg: ci,
 			Name: ch.Name, Value: uint64(v), Occ: int(count) + 1})
@@ -1003,7 +995,7 @@ func (k *Kernel) chanRecv(regime, ci int) (Word, Word) {
 	v := k.m.ReadPhys(e.buf + head)
 	k.m.WritePhys(e.hdr+chHead, (head+1)%capa)
 	k.m.WritePhys(e.hdr+chCount, count-1)
-	k.recvs[regime]++
+	k.stats.RecvPerRegime[regime]++
 	if k.tracer != nil {
 		k.emit(obs.Event{Kind: obs.EvChanRecv, Regime: regime, Arg: ci,
 			Name: ch.Name, Value: uint64(v), Occ: int(count) - 1})
@@ -1085,17 +1077,12 @@ type Stats struct {
 
 // Stats returns activity counters accumulated since Boot.
 func (k *Kernel) Stats() Stats {
-	return Stats{
-		Swaps:            k.swaps,
-		Interrupts:       k.irqs,
-		Deliveries:       k.deliver,
-		SchedDecisions:   k.scheds,
-		Switches:         k.switches,
-		InstrPerRegime:   append([]uint64(nil), k.instrs...),
-		SyscallPerRegime: append([]uint64(nil), k.syscalls...),
-		SendPerRegime:    append([]uint64(nil), k.sends...),
-		RecvPerRegime:    append([]uint64(nil), k.recvs...),
-	}
+	st := k.stats
+	st.InstrPerRegime = append([]uint64(nil), st.InstrPerRegime...)
+	st.SyscallPerRegime = append([]uint64(nil), st.SyscallPerRegime...)
+	st.SendPerRegime = append([]uint64(nil), st.SendPerRegime...)
+	st.RecvPerRegime = append([]uint64(nil), st.RecvPerRegime...)
+	return st
 }
 
 // FillRegistry publishes the kernel's activity counters into an obs

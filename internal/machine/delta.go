@@ -13,10 +13,11 @@ import "sync"
 // actually written) — for a single instruction or a perturbation, a few
 // dozen words instead of the machine's entire 60K-word RAM.
 //
-// The CPU and MMU block (registers, PSW, segment registers, abort latches,
-// halt/wait/trap state — ~40 words) is saved eagerly at DeltaSnapshot time:
-// the interpreter mutates registers on nearly every instruction, so logging
-// them individually would cost more than copying them outright.
+// The CPU and MMU block (the cpu value: registers, PSW, segment registers,
+// abort latches, halt/wait/trap state — ~40 words) is copied whole at
+// DeltaSnapshot time: the interpreter mutates registers on nearly every
+// instruction, so logging them individually would cost more than copying
+// them outright.
 //
 // Invariants:
 //
@@ -38,16 +39,7 @@ type Delta struct {
 	owner *Machine
 
 	// Eagerly saved CPU/MMU block.
-	regs     [8]Word
-	altSP    Word
-	psw      Word
-	segBase  [NumSegments]Word
-	segCtl   [NumSegments]Word
-	mmuStat  Word
-	mmuAddr  Word
-	halted   bool
-	waiting  bool
-	trapCode Word
+	cpu cpu
 
 	// First-touch RAM undo log: olds[i] is the value addrs[i] held at the
 	// snapshot point (or at the most recent DeltaRestore). Each address
@@ -94,7 +86,7 @@ func (m *Machine) DeltaSnapshot() *Delta {
 			d.devTouched[i] = false
 		}
 	}
-	d.saveCPU(m)
+	d.cpu = m.cpu
 	m.delta = d
 	return d
 }
@@ -115,7 +107,7 @@ func (m *Machine) DeltaRestore(d *Delta) {
 	d.addrs = d.addrs[:0]
 	d.olds = d.olds[:0]
 	m.advanceEpoch()
-	d.restoreCPU(m)
+	m.cpu = d.cpu
 	for i := range m.devices {
 		if d.devTouched[i] {
 			m.devices[i].RestoreState(d.devOld[i])
@@ -194,30 +186,4 @@ func (m *Machine) advanceEpoch() {
 		}
 		m.dirtyEpoch = 1
 	}
-}
-
-func (d *Delta) saveCPU(m *Machine) {
-	d.regs = m.regs
-	d.altSP = m.altSP
-	d.psw = m.psw
-	d.segBase = m.mmu.Base
-	d.segCtl = m.mmu.Ctl
-	d.mmuStat = m.mmu.AbortReason
-	d.mmuAddr = m.mmu.AbortVaddr
-	d.halted = m.halted
-	d.waiting = m.waiting
-	d.trapCode = m.trapCode
-}
-
-func (d *Delta) restoreCPU(m *Machine) {
-	m.regs = d.regs
-	m.altSP = d.altSP
-	m.psw = d.psw
-	m.mmu.Base = d.segBase
-	m.mmu.Ctl = d.segCtl
-	m.mmu.AbortReason = d.mmuStat
-	m.mmu.AbortVaddr = d.mmuAddr
-	m.halted = d.halted
-	m.waiting = d.waiting
-	m.trapCode = d.trapCode
 }

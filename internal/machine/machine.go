@@ -16,15 +16,7 @@ type Machine struct {
 	ramWords int
 	ram      []Word
 
-	regs  [8]Word // R0..R5, SP (current mode's), PC
-	altSP Word    // the inactive mode's stack pointer
-	psw   Word
-
-	mmu mmu
-
-	halted   bool
-	waiting  bool
-	trapCode Word // code field of the most recent TRAP instruction
+	cpu
 
 	devices []Device
 	devBase []Word
@@ -50,6 +42,22 @@ type Machine struct {
 	Fault error
 }
 
+// cpu is the CPU and MMU block of the modelled state. It is one value so
+// that every checkpoint path (Snapshot, Restore, the delta checkpoint,
+// Reset) copies it whole; wire.go is the only other place that lists its
+// fields, and TestCPUBlockRoundTrip guards that list.
+type cpu struct {
+	regs  [8]Word // R0..R5, SP (current mode's), PC
+	altSP Word    // the inactive mode's stack pointer
+	psw   Word
+
+	mmu mmu
+
+	halted   bool
+	waiting  bool
+	trapCode Word // code field of the most recent TRAP instruction
+}
+
 // DefaultRAMWords is the standard RAM size: everything below the I/O page.
 const DefaultRAMWords = int(IOBase)
 
@@ -69,13 +77,7 @@ func New(ramWords int) *Machine {
 // Reset returns the CPU, MMU and all devices to their power-on state.
 // RAM contents are preserved (use ClearRAM for a cold boot).
 func (m *Machine) Reset() {
-	m.regs = [8]Word{}
-	m.altSP = 0
-	m.psw = WithPriority(0, 7) // kernel mode, all interrupts masked
-	m.mmu.reset()
-	m.halted = false
-	m.waiting = false
-	m.trapCode = 0
+	m.cpu = cpu{psw: WithPriority(0, 7)} // kernel mode, all interrupts masked
 	m.cycles = 0
 	m.Fault = nil
 	for i, d := range m.devices {

@@ -97,9 +97,3 @@ func (u *mmu) translate(vaddr Word, write bool) (Word, bool) {
 	}
 	return u.Base[seg] + off, true
 }
-
-// reset clears all mappings (every segment becomes AccessNone) and the
-// abort status.
-func (u *mmu) reset() {
-	*u = mmu{}
-}

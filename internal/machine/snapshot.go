@@ -9,35 +9,14 @@ import (
 // MMU, RAM and every attached device. Two machines with equal snapshots
 // and identical future stimuli behave identically.
 type Snapshot struct {
-	Regs     [8]Word
-	AltSP    Word
-	PSW      Word
-	SegBase  [NumSegments]Word
-	SegCtl   [NumSegments]Word
-	MMUStat  Word
-	MMUAddr  Word
-	Halted   bool
-	Waiting  bool
-	TrapCode Word
-	RAM      []Word
-	Devices  [][]Word // one entry per attached device, in bus order
+	cpu
+	RAM     []Word
+	Devices [][]Word // one entry per attached device, in bus order
 }
 
 // Snapshot returns a deep copy of the machine's state.
 func (m *Machine) Snapshot() *Snapshot {
-	s := &Snapshot{
-		Regs:     m.regs,
-		AltSP:    m.altSP,
-		PSW:      m.psw,
-		SegBase:  m.mmu.Base,
-		SegCtl:   m.mmu.Ctl,
-		MMUStat:  m.mmu.AbortReason,
-		MMUAddr:  m.mmu.AbortVaddr,
-		Halted:   m.halted,
-		Waiting:  m.waiting,
-		TrapCode: m.trapCode,
-		RAM:      append([]Word(nil), m.ram...),
-	}
+	s := &Snapshot{cpu: m.cpu, RAM: append([]Word(nil), m.ram...)}
 	for _, d := range m.devices {
 		s.Devices = append(s.Devices, d.AppendState(nil))
 	}
@@ -67,16 +46,7 @@ func (m *Machine) Restore(s *Snapshot) error {
 	if err := m.CheckSnapshot(s); err != nil {
 		return err
 	}
-	m.regs = s.Regs
-	m.altSP = s.AltSP
-	m.psw = s.PSW
-	m.mmu.Base = s.SegBase
-	m.mmu.Ctl = s.SegCtl
-	m.mmu.AbortReason = s.MMUStat
-	m.mmu.AbortVaddr = s.MMUAddr
-	m.halted = s.Halted
-	m.waiting = s.Waiting
-	m.trapCode = s.TrapCode
+	m.cpu = s.cpu
 	if m.delta != nil {
 		// A full restore under an active delta must journal like any other
 		// write, so DeltaRestore can still undo it: diff word-by-word

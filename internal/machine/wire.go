@@ -17,22 +17,24 @@ const (
 )
 
 // MarshalBinary serializes the snapshot in the self-describing wire format
-// understood by DecodeSnapshot.
+// understood by DecodeSnapshot. Being the persisted format, it lists the
+// cpu block field by field in a fixed order; TestCPUBlockRoundTrip fails
+// when a cpu field is missing here or in DecodeSnapshot.
 func (s *Snapshot) MarshalBinary() ([]byte, error) {
 	var buf bytes.Buffer
 	w := func(v any) { binary.Write(&buf, binary.LittleEndian, v) }
 	w(uint32(wireMagic))
 	w(uint32(wireVersion))
-	w(s.Regs[:])
-	w(s.AltSP)
-	w(s.PSW)
-	w(s.SegBase[:])
-	w(s.SegCtl[:])
-	w(s.MMUStat)
-	w(s.MMUAddr)
-	w(boolWord(s.Halted))
-	w(boolWord(s.Waiting))
-	w(s.TrapCode)
+	w(s.regs[:])
+	w(s.altSP)
+	w(s.psw)
+	w(s.mmu.Base[:])
+	w(s.mmu.Ctl[:])
+	w(s.mmu.AbortReason)
+	w(s.mmu.AbortVaddr)
+	w(boolWord(s.halted))
+	w(boolWord(s.waiting))
+	w(s.trapCode)
 	w(uint32(len(s.RAM)))
 	w(s.RAM)
 	w(uint32(len(s.Devices)))
@@ -55,22 +57,22 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("machine: unsupported snapshot version %d", v)
 	}
 	s := &Snapshot{}
-	for i := range s.Regs {
-		s.Regs[i] = r.word()
+	for i := range s.regs {
+		s.regs[i] = r.word()
 	}
-	s.AltSP = r.word()
-	s.PSW = r.word()
-	for i := range s.SegBase {
-		s.SegBase[i] = r.word()
+	s.altSP = r.word()
+	s.psw = r.word()
+	for i := range s.mmu.Base {
+		s.mmu.Base[i] = r.word()
 	}
-	for i := range s.SegCtl {
-		s.SegCtl[i] = r.word()
+	for i := range s.mmu.Ctl {
+		s.mmu.Ctl[i] = r.word()
 	}
-	s.MMUStat = r.word()
-	s.MMUAddr = r.word()
-	s.Halted = r.word() != 0
-	s.Waiting = r.word() != 0
-	s.TrapCode = r.word()
+	s.mmu.AbortReason = r.word()
+	s.mmu.AbortVaddr = r.word()
+	s.halted = r.word() != 0
+	s.waiting = r.word() != 0
+	s.trapCode = r.word()
 	s.RAM = r.words(r.u32())
 	ndev := r.u32()
 	if r.err == nil && uint64(ndev)*4 > uint64(len(data)) {

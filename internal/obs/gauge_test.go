@@ -98,7 +98,7 @@ func TestGaugeConcurrentSet(t *testing.T) {
 func TestListenMetricsExtraHandlers(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("c_total").Inc()
-	bound, shutdown, err := obs.ListenMetricsOpts("127.0.0.1:0", r, obs.ListenOptions{
+	bound, shutdown, err := obs.ListenMetrics("127.0.0.1:0", r, obs.ListenOptions{
 		Handlers: map[string]http.Handler{
 			"/status": http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 				io.WriteString(w, `{"ok":true}`)

@@ -30,7 +30,7 @@ func MetricsHandler(r *Registry) http.Handler {
 	})
 }
 
-// ListenOptions tunes ListenMetricsOpts.
+// ListenOptions tunes ListenMetrics; the zero value serves /metrics only.
 type ListenOptions struct {
 	// Pprof additionally serves the net/http/pprof profiling handlers
 	// under /debug/pprof/, so long verification runs can be profiled live
@@ -45,15 +45,10 @@ type ListenOptions struct {
 }
 
 // ListenMetrics exposes the registry at /metrics on addr (use host:0 for an
-// ephemeral port). It returns the bound address and a shutdown function
-// that stops the listener; scraping never perturbs the counters beyond the
-// atomic loads the registry already performs.
-func ListenMetrics(addr string, r *Registry) (bound string, shutdown func() error, err error) {
-	return ListenMetricsOpts(addr, r, ListenOptions{})
-}
-
-// ListenMetricsOpts is ListenMetrics with options.
-func ListenMetricsOpts(addr string, r *Registry, opt ListenOptions) (bound string, shutdown func() error, err error) {
+// ephemeral port), plus whatever opt adds. It returns the bound address and
+// a shutdown function that stops the listener; scraping never perturbs the
+// counters beyond the atomic loads the registry already performs.
+func ListenMetrics(addr string, r *Registry, opt ListenOptions) (bound string, shutdown func() error, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, fmt.Errorf("obs: metrics listener: %w", err)

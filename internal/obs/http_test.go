@@ -31,7 +31,7 @@ func TestListenMetrics(t *testing.T) {
 	reg.Counter("sep_trials_total").Add(7)
 	reg.Counter(`sep_checks_total{condition="SC1"}`).Add(3)
 
-	bound, shutdown, err := obs.ListenMetrics("127.0.0.1:0", reg)
+	bound, shutdown, err := obs.ListenMetrics("127.0.0.1:0", reg, obs.ListenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestListenMetrics(t *testing.T) {
 // long verification run is opt-in, not an always-open debug surface.
 func TestListenMetricsPprof(t *testing.T) {
 	reg := obs.NewRegistry()
-	bound, shutdown, err := obs.ListenMetricsOpts("127.0.0.1:0", reg,
+	bound, shutdown, err := obs.ListenMetrics("127.0.0.1:0", reg,
 		obs.ListenOptions{Pprof: true})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestListenMetricsPprof(t *testing.T) {
 	}
 
 	// Without the option, the debug surface must not exist.
-	bound2, shutdown2, err := obs.ListenMetrics("127.0.0.1:0", reg)
+	bound2, shutdown2, err := obs.ListenMetrics("127.0.0.1:0", reg, obs.ListenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestListenMetricsPprof(t *testing.T) {
 // error — nothing in between.
 func TestListenMetricsShutdownRace(t *testing.T) {
 	reg := obs.NewRegistry()
-	bound, shutdown, err := obs.ListenMetrics("127.0.0.1:0", reg)
+	bound, shutdown, err := obs.ListenMetrics("127.0.0.1:0", reg, obs.ListenOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,6 @@ package separability
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -342,9 +341,9 @@ func trialSeed(seed int64, trial int) int64 {
 // sys and its own RNGs, so distinct trials may run concurrently on
 // distinct replicas.
 //
-// Two RNG streams are involved. The walk stream (seeded from the trial
-// seed) drives Randomize, the injected inputs and the per-step colour
-// choice — everything that determines WHICH states get checked. Each
+// Two RNG streams are involved. The walk stream (walkTrial's, seeded from
+// the trial seed) drives Randomize, the injected inputs and the per-step
+// colour choice — everything that determines WHICH states get checked. Each
 // step's condition sweep then draws from its own stream, seeded purely
 // from (trial seed, step). The split is what makes counterexamples
 // replayable: a witness that records the walk's inputs and a step's check
@@ -364,34 +363,17 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 		start = time.Now()
 	}
 	tseed := trialSeed(opt.Seed, trial)
-	walk := rand.New(rand.NewSource(tseed))
-	sys.Randomize(walk)
 	// One sweep RNG per trial, reseeded at every step.
 	srng := &stepRand{}
-	for step := 0; step < opt.StepsPerTrial; step++ {
-		if len(res.Violations) >= opt.MaxViolations {
-			break
-		}
-		// Advance the input phase first so that states with freshly
-		// raised device interrupts are among the states checked (the
-		// interrupt-fielding operations are exactly where kernels
-		// historically go wrong, and the paper's motivation for a new
-		// technique).
-		if step%opt.InputEvery == opt.InputEvery-1 {
-			sys.ApplyInput(sys.RandomInput(walk))
-		} else {
-			sys.ApplyInput(nil)
-		}
-
-		c := colours[walk.Intn(len(colours))]
-		checkState(sys, c, srng.reseed(stepSeed(tseed, step)), res, trial, step, opt)
-		res.States++
-		if liveStates != nil {
-			liveStates.Inc()
-		}
-
-		sys.Step()
-	}
+	walkTrial(sys, opt, trial, colours,
+		func(int, model.Input) bool { return len(res.Violations) < opt.MaxViolations },
+		func(step int, c model.Colour) {
+			checkState(sys, c, srng.reseed(stepSeed(tseed, step)), res, trial, step, opt)
+			res.States++
+			if liveStates != nil {
+				liveStates.Inc()
+			}
+		})
 	if opt.Metrics != nil {
 		reg := opt.Metrics
 		reg.Counter("sep_trials_total").Inc()

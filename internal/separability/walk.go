@@ -9,7 +9,7 @@ import (
 // This file is the replay surface of the randomized checker: the
 // primitives package witness uses to turn a Violation into a standalone,
 // re-executable counterexample. The contract rests on two facts about
-// runTrial:
+// runTrial, whose walk is walkTrial, the same loop WalkTrial replays:
 //
 //   - the walk (Randomize, injected inputs, colour choices) draws from one
 //     stream seeded by the trial seed, while each step's condition sweep
@@ -76,10 +76,27 @@ func (r *stepRand) Intn(n int) int {
 // would, so the stream stays aligned even though no colour is checked.
 func WalkTrial(sys model.Perturbable, opt Options, trial int, visit func(step int, in model.Input) bool) {
 	opt.fill()
-	colours := sys.Colours()
+	walkTrial(sys, opt, trial, sys.Colours(), visit, nil)
+}
+
+// walkTrial is the one state walk of a randomized trial, shared by the
+// checker (runTrial) and replay (WalkTrial). The walk stream, seeded from
+// the trial seed, drives Randomize, the injected inputs (every
+// opt.InputEvery-th step; nil otherwise) and the per-step colour choice.
+// visit runs before each step's input is applied and stops the walk by
+// returning false; at, when non-nil, runs after the colour draw with the
+// state to be checked at that step and the drawn colour.
+func walkTrial(sys model.Perturbable, opt Options, trial int, colours []model.Colour,
+	visit func(step int, in model.Input) bool, at func(step int, c model.Colour)) {
+
 	walk := rand.New(rand.NewSource(trialSeed(opt.Seed, trial)))
 	sys.Randomize(walk)
 	for step := 0; step < opt.StepsPerTrial; step++ {
+		// Advance the input phase first so that states with freshly
+		// raised device interrupts are among the states checked (the
+		// interrupt-fielding operations are exactly where kernels
+		// historically go wrong, and the paper's motivation for a new
+		// technique).
 		var in model.Input
 		if step%opt.InputEvery == opt.InputEvery-1 {
 			in = sys.RandomInput(walk)
@@ -88,7 +105,10 @@ func WalkTrial(sys model.Perturbable, opt Options, trial int, visit func(step in
 			return
 		}
 		sys.ApplyInput(in)
-		_ = colours[walk.Intn(len(colours))] // keep the stream aligned with runTrial
+		c := colours[walk.Intn(len(colours))]
+		if at != nil {
+			at(step, c)
+		}
 		sys.Step()
 	}
 }
