@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke
 
 # CI's fast gates: vet (of this module and of the benchmark module in
-# bench/), gofmt over tracked Go files, build, the repository linter and
-# the full test suite.
+# bench/), gofmt over tracked Go files, build, the repository linter, the
+# full test suite and every registered verdict (sepverify, about 1 s).
 verify:
 	$(GO) vet ./...
 	cd bench && $(GO) vet ./...
@@ -12,6 +12,7 @@ verify:
 	$(GO) build ./...
 	$(GO) run ./cmd/seplint .
 	$(GO) test ./...
+	$(GO) run ./cmd/sepverify
 
 # Repository-invariant linter (see internal/lint): obs stays dependency
 # free, raw machine state stays behind the kernel adapter, tracing hooks

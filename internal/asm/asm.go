@@ -332,8 +332,8 @@ func (a *assembler) instruction(line string) error {
 
 // arity validates operand count against the opcode's needs.
 func (a *assembler) arity(op Word, mnem string, args []string) (src, dst string, err error) {
-	needSrc := opNeedsSrc(op)
-	needDst := opNeedsDst(op)
+	needSrc := machine.HasSrc(op)
+	needDst := machine.HasDst(op)
 	want := 0
 	if needSrc {
 		want++
@@ -353,27 +353,6 @@ func (a *assembler) arity(op Word, mnem string, args []string) (src, dst string,
 		return "", args[0], nil
 	}
 	return "", "", nil
-}
-
-func opNeedsSrc(op Word) bool {
-	switch op {
-	case machine.OpMOV, machine.OpADD, machine.OpSUB, machine.OpCMP,
-		machine.OpAND, machine.OpOR, machine.OpXOR, machine.OpSHL,
-		machine.OpSHR, machine.OpPUSH, machine.OpMTPS, machine.OpMUL:
-		return true
-	}
-	return false
-}
-
-func opNeedsDst(op Word) bool {
-	switch op {
-	case machine.OpMOV, machine.OpADD, machine.OpSUB, machine.OpCMP,
-		machine.OpAND, machine.OpOR, machine.OpXOR, machine.OpSHL,
-		machine.OpSHR, machine.OpNOT, machine.OpNEG, machine.OpJMP,
-		machine.OpJSR, machine.OpPOP, machine.OpMFPS, machine.OpMUL:
-		return true
-	}
-	return false
 }
 
 // operand parses one operand and returns its 5-bit spec plus any extension

@@ -14,11 +14,11 @@ import (
 // RegimePSW returns the user-visible PSW bits (condition codes) of regime
 // i: live when the regime holds the CPU, from the save area otherwise.
 func (k *Kernel) RegimePSW(i int) Word {
-	if i == k.current() && machine.IsUser(k.m.PSW()) {
-		return k.m.PSW() & (machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC)
+	psw := k.m.PSW()
+	if !k.live(i) {
+		psw = k.m.ReadPhys(saveBase(i) + savePSW)
 	}
-	return k.m.ReadPhys(saveBase(i)+savePSW) &
-		(machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC)
+	return psw & (machine.FlagN | machine.FlagZ | machine.FlagV | machine.FlagC)
 }
 
 // InputVec is one external stimulus: entry j holds the words delivered to
@@ -140,59 +140,48 @@ func (a *Adapter) Release(cp model.Checkpoint) {
 }
 
 // Colour implements model.SharedSystem: the colour on whose behalf the
-// next operation will execute.
+// next operation (Kernel.next) will execute.
 func (a *Adapter) Colour() model.Colour {
 	k := a.K
-	if k.dead || k.m.Halted() {
-		return KernelColour
-	}
-	if k.cfg.FixedSlice > 0 && k.m.ReadPhys(KData+kdSliceLeft) == 0 {
-		// The next operation is the slice-boundary rotation: pure kernel
-		// scheduling work.
-		return KernelColour
-	}
-	if di, ok := k.m.PendingDevice(); ok {
-		// The next operation fields this device's interrupt: it executes
-		// on behalf of the device's owner.
-		if owner := k.devOwner[di]; owner >= 0 {
+	switch op, arg := k.next(); op {
+	case opFieldIRQ:
+		// Fielding an interrupt executes on behalf of the device's owner.
+		if owner := k.devOwner[arg]; owner >= 0 {
 			return model.Colour(k.cfg.Regimes[owner].Name)
 		}
-		return KernelColour
-	}
-	if machine.IsUser(k.m.PSW()) {
+	case opDeliver, opUser:
 		return model.Colour(k.cfg.Regimes[k.current()].Name)
 	}
 	return KernelColour
 }
 
-// NextOp implements model.SharedSystem.
+// NextOp implements model.SharedSystem: Kernel.next rendered as an OpID.
 func (a *Adapter) NextOp() model.OpID {
 	k := a.K
-	if k.dead || k.m.Halted() {
+	op, arg := k.next()
+	switch op {
+	case opDead:
 		return "dead"
-	}
-	if k.cfg.FixedSlice > 0 && k.m.ReadPhys(KData+kdSliceLeft) == 0 {
+	case opSlice:
 		return "kernel:slice-switch"
+	case opFieldIRQ:
+		return model.OpID("field-irq:" + k.m.Devices()[arg].Name())
+	case opIdle:
+		return "kernel:idle"
 	}
-	if di, ok := k.m.PendingDevice(); ok {
-		return model.OpID("field-irq:" + k.m.Devices()[di].Name())
+	cur := k.current()
+	b := make([]byte, 0, 48)
+	if op == opDeliver {
+		b = append(append(append(b, "deliver-irq:"...), k.cfg.Regimes[cur].Name...), ':')
+		return model.OpID(strconv.AppendInt(b, int64(arg), 10))
 	}
-	if machine.IsUser(k.m.PSW()) {
-		cur := k.current()
-		b := make([]byte, 0, 48)
-		if j := k.deliverablePending(); j >= 0 {
-			b = append(append(append(b, "deliver-irq:"...), k.cfg.Regimes[cur].Name...), ':')
-			return model.OpID(strconv.AppendInt(b, int64(j), 10))
-		}
-		pc := k.m.PC()
-		b = append(append(append(b, "user:"...), k.cfg.Regimes[cur].Name...), '@')
-		b = append(hexWord(b, pc), ':')
-		if instr, ok := k.regimeRead(cur, pc); ok {
-			return model.OpID(hexWord(b, instr))
-		}
-		return model.OpID(append(b, "unfetchable"...))
+	pc := k.m.PC()
+	b = append(append(append(b, "user:"...), k.cfg.Regimes[cur].Name...), '@')
+	b = append(hexWord(b, pc), ':')
+	if instr, ok := k.regimeRead(cur, pc); ok {
+		return model.OpID(hexWord(b, instr))
 	}
-	return "kernel:idle"
+	return model.OpID(append(b, "unfetchable"...))
 }
 
 // Step implements model.SharedSystem: one CPU operation (device activity
@@ -590,9 +579,6 @@ func (a *Adapter) RandomInputMatching(c model.Colour, i model.Input, r model.Ran
 func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 	k := a.K
 	m := k.m
-	cur := k.current()
-	curLive := machine.IsUser(m.PSW())
-
 	for ri, spec := range k.cfg.Regimes {
 		if model.Colour(spec.Name) == c {
 			continue
@@ -608,7 +594,7 @@ func (a *Adapter) PerturbOutside(c model.Colour, r model.Rand) {
 		}
 		// Register context: live machine registers when this regime holds
 		// the CPU, its save area otherwise.
-		if ri == cur && curLive {
+		if k.live(ri) {
 			for reg := 0; reg < 6; reg++ {
 				if r.Intn(2) == 0 {
 					m.SetReg(reg, Word(r.Uint32()))

@@ -13,3 +13,9 @@ func (k *Kernel) ChanEnds(ci int) (send, recv ChanEndWords) {
 	}
 	return words(k.sendEnd[ci]), words(k.recvEnd[ci])
 }
+
+// Parked reports whether the current regime has given up the rest of its
+// fixed slice, and SliceLeft how many cycles of the slice remain.
+func (k *Kernel) Parked() bool { return k.m.ReadPhys(KData+kdParked) == 1 }
+
+func (k *Kernel) SliceLeft() Word { return k.m.ReadPhys(KData + kdSliceLeft) }

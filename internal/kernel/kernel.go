@@ -52,9 +52,10 @@ type Config struct {
 	CutChannels bool
 
 	// FixedSlice, when positive, replaces run-until-SWAP scheduling with
-	// fixed time slices of that many machine cycles: a regime that yields
-	// early is parked and its remaining slice burns in the kernel idle
-	// loop, and a regime that never yields is preempted at the boundary.
+	// fixed time slices of that many machine cycles: a regime that leaves
+	// the CPU early (yields, waits, halts or faults) is parked and its
+	// remaining slice burns in the kernel idle loop, and a regime that
+	// never yields is preempted at the boundary.
 	// Every rotation then takes the same wall-clock time regardless of
 	// regime behaviour, which closes the scheduling/timing channel the
 	// paper scopes out (see internal/timingchan) at the cost of idle
@@ -297,10 +298,10 @@ func (k *Kernel) Boot() error {
 	m.WritePhys(KIdle, machine.Enc2(machine.OpWAIT, 0, 0))
 	m.WritePhys(KIdle+1, machine.EncBranch(machine.OpBR, -2))
 
-	m.WritePhys(KData+kdCurrent, 0)
+	// ClearRAM left every other kernel word, save-area slot and channel
+	// word 0: current regime 0, not parked, nothing pending, rings empty.
 	m.WritePhys(KData+kdNumReg, Word(n))
 	m.WritePhys(KData+kdSliceLeft, Word(k.cfg.FixedSlice))
-	m.WritePhys(KData+kdParked, 0)
 
 	for i, r := range k.cfg.Regimes {
 		if r.Image != nil {
@@ -309,9 +310,6 @@ func (k *Kernel) Boot() error {
 			}
 		}
 		sb := saveBase(i)
-		for j := Word(0); j < 6; j++ {
-			m.WritePhys(sb+saveR0+j, 0)
-		}
 		m.WritePhys(sb+saveSP, k.stackTop(i))
 		entry := Word(0)
 		if r.Image != nil {
@@ -323,16 +321,9 @@ func (k *Kernel) Boot() error {
 		m.WritePhys(sb+savePC, entry)
 		m.WritePhys(sb+savePSW, machine.PSWUser)
 		m.WritePhys(sb+saveState, StateRunnable)
-		m.WritePhys(sb+savePending, 0)
-		m.WritePhys(sb+saveIPL, 0)
 	}
-
 	for ci := range k.cfg.Channels {
-		base := k.chanOff[ci]
-		for j := Word(0); j < chBuf+2*k.chanCap[ci]; j++ {
-			m.WritePhys(base+j, 0)
-		}
-		m.WritePhys(base+chCap, k.chanCap[ci])
+		m.WritePhys(k.chanOff[ci]+chCap, k.chanCap[ci])
 	}
 
 	k.resume(k.scheduleFrom(0))
@@ -559,10 +550,10 @@ func (k *Kernel) enteredVector() (Word, bool) {
 }
 
 // deliverablePending returns the lowest pending deliverable virtual
-// interrupt for the current regime, or -1.
+// interrupt for the current regime, which is live in user mode, or -1.
 func (k *Kernel) deliverablePending() int {
 	i := k.current()
-	if !machine.IsUser(k.m.PSW()) || k.regimeState(i) != StateRunnable {
+	if k.regimeState(i) != StateRunnable {
 		return -1
 	}
 	sb := saveBase(i)
@@ -581,42 +572,70 @@ func (k *Kernel) deliverablePending() int {
 	return -1
 }
 
+// opKind names the CPU operation StepCPU performs next. next decides it;
+// the adapter's COLOUR and NEXTOP only render it.
+type opKind uint8
+
+const (
+	opDead     opKind = iota // the kernel died or the machine halted
+	opSlice                  // fixed-slice boundary: rotate to the next regime
+	opFieldIRQ               // the machine fields a device interrupt
+	opDeliver                // a virtual interrupt enters the current regime
+	opUser                   // the current regime executes one instruction
+	opIdle                   // the kernel idle loop runs
+)
+
+// next decides the next CPU operation, in priority order. The int is the
+// device's bus index for opFieldIRQ and the interrupt number for opDeliver.
+func (k *Kernel) next() (opKind, int) {
+	if k.dead || k.m.Halted() {
+		return opDead, 0
+	}
+	if k.cfg.FixedSlice > 0 && k.m.ReadPhys(KData+kdSliceLeft) == 0 {
+		return opSlice, 0
+	}
+	// Hardware interrupts outrank everything; the machine dispatches them.
+	if di, ok := k.m.PendingDevice(); ok {
+		return opFieldIRQ, di
+	}
+	if !machine.IsUser(k.m.PSW()) {
+		return opIdle, 0
+	}
+	if j := k.deliverablePending(); j >= 0 {
+		return opDeliver, j
+	}
+	return opUser, 0
+}
+
 // StepCPU performs one CPU operation under kernel supervision: a virtual
 // interrupt delivery, or one machine instruction (including any trap that
 // instruction raises, serviced atomically). Device ticking is separate
 // (machine.TickDevices) so that callers modelling the paper's INPUT phase
 // can drive it explicitly.
 func (k *Kernel) StepCPU() {
-	if k.dead {
+	op, arg := k.next()
+	switch op {
+	case opDead:
+		if !k.dead {
+			k.die(fmt.Errorf("kernel: machine halted unexpectedly (fault: %v)", k.m.Fault))
+		}
+		return
+	case opSlice:
+		// Rotate unconditionally, whatever the current regime was doing.
+		if machine.IsUser(k.m.PSW()) {
+			k.savePreempted()
+		}
+		k.m.WritePhys(KData+kdParked, 0)
+		k.m.WritePhys(KData+kdSliceLeft, Word(k.cfg.FixedSlice))
+		k.resume(k.scheduleNext())
 		return
 	}
 	if k.cfg.FixedSlice > 0 {
-		left := k.m.ReadPhys(KData + kdSliceLeft)
-		if left == 0 {
-			// Slice boundary: rotate unconditionally, whatever the
-			// current regime was doing.
-			if machine.IsUser(k.m.PSW()) {
-				k.savePreempted()
-			}
-			k.m.WritePhys(KData+kdParked, 0)
-			k.m.WritePhys(KData+kdSliceLeft, Word(k.cfg.FixedSlice))
-			k.resume(k.scheduleNext())
-			return
-		}
-		k.m.WritePhys(KData+kdSliceLeft, left-1)
-		if k.m.ReadPhys(KData+kdParked) == 1 {
-			// The regime yielded early: burn the slice in the kernel
-			// idle loop (device interrupts are still fielded).
-			k.stepMachine()
-			return
-		}
+		k.m.WritePhys(KData+kdSliceLeft, k.m.ReadPhys(KData+kdSliceLeft)-1)
 	}
-	// Hardware interrupts outrank everything; let the machine dispatch.
-	if _, pending := k.m.PendingDevice(); !pending {
-		if j := k.deliverablePending(); j >= 0 {
-			k.deliverIRQ(k.current(), j)
-			return
-		}
+	if op == opDeliver {
+		k.deliverIRQ(k.current(), arg)
+		return
 	}
 	k.stepMachine()
 }
@@ -640,7 +659,7 @@ func (k *Kernel) stepMachine() {
 }
 
 // savePreempted captures the LIVE user context of the current regime (used
-// by the fixed-slice preemption path, where there is no trap frame).
+// where there is no trap frame: slice preemption and a failed delivery).
 func (k *Kernel) savePreempted() {
 	m := k.m
 	sb := saveBase(k.current())
@@ -652,11 +671,17 @@ func (k *Kernel) savePreempted() {
 	m.WritePhys(sb+savePSW, m.PSW())
 }
 
-// park records that the current regime gave up the rest of its slice and
-// drops into the kernel idle loop until the boundary.
-func (k *Kernel) park() {
-	k.m.WritePhys(KData+kdParked, 1)
-	k.resume(-1)
+// yield takes the CPU from the current regime, whose context is saved.
+// Under fixed slices every exit parks: the rest of the slice burns in the
+// kernel idle loop until the boundary, so no regime decides when the next
+// one starts. Otherwise the next runnable regime runs at once.
+func (k *Kernel) yield() {
+	if k.cfg.FixedSlice > 0 {
+		k.m.WritePhys(KData+kdParked, 1)
+		k.resume(-1)
+		return
+	}
+	k.resume(k.scheduleNext())
 }
 
 // Step advances the whole system one cycle: devices tick, then one CPU
@@ -740,11 +765,7 @@ func (k *Kernel) service(vec Word) {
 		i := k.current()
 		reason, vaddr := k.m.MMUAbort()
 		k.faultRegime(i, fmt.Sprintf("MMU abort %d at vaddr %#x", reason, vaddr))
-		if k.cfg.FixedSlice > 0 {
-			k.park()
-			return
-		}
-		k.resume(k.scheduleNext())
+		k.yield()
 	case vec >= machine.VecDevBase:
 		k.stats.Interrupts++
 		di := int(vec-machine.VecDevBase) / 2
@@ -810,9 +831,9 @@ func (k *Kernel) deliverIRQ(i, j int) {
 	// The regime is live in user mode: PC/PSW/SP are the machine's.
 	sp := m.Reg(machine.RegSP)
 	if !k.pushVirtual(i, &sp, m.PSW()) || !k.pushVirtual(i, &sp, m.PC()) {
-		k.saveCurrent()
+		k.savePreempted()
 		k.faultRegime(i, "stack overflow delivering interrupt")
-		k.resume(k.scheduleNext())
+		k.yield()
 		return
 	}
 	m.SetReg(machine.RegSP, sp)
@@ -842,7 +863,7 @@ func (k *Kernel) illegal() {
 		newPSW, ok2 := k.regimeRead(i, sp+1)
 		if !ok1 || !ok2 {
 			k.faultRegime(i, "bad stack on virtual RTI")
-			k.resume(k.scheduleNext())
+			k.yield()
 			return
 		}
 		m.WritePhys(sb+savePC, newPC)
@@ -853,11 +874,7 @@ func (k *Kernel) illegal() {
 		return
 	}
 	k.faultRegime(i, fmt.Sprintf("illegal instruction %#x at %#x", instr, pc-1))
-	if k.cfg.FixedSlice > 0 {
-		k.park()
-		return
-	}
-	k.resume(k.scheduleNext())
+	k.yield()
 }
 
 func (k *Kernel) faultRegime(i int, reason string) {
@@ -898,11 +915,7 @@ func (k *Kernel) syscall() {
 	switch code {
 	case TrapSwap:
 		k.stats.Swaps++
-		if k.cfg.FixedSlice > 0 {
-			k.park()
-			return
-		}
-		k.resume(k.scheduleNext())
+		k.yield()
 		return
 	case TrapSend:
 		setR(0, k.chanSend(i, int(arg0), arg1))
@@ -924,21 +937,13 @@ func (k *Kernel) syscall() {
 			k.emit(obs.Event{Kind: obs.EvRegimeHalt, Regime: i,
 				Name: k.cfg.Regimes[i].Name})
 		}
-		if k.cfg.FixedSlice > 0 {
-			k.park()
-			return
-		}
-		k.resume(k.scheduleNext())
+		k.yield()
 		return
 	case TrapWaitIRQ:
 		if m.ReadPhys(sb+savePending) == 0 {
 			k.setRegimeState(i, StateWaitIRQ)
 		}
-		if k.cfg.FixedSlice > 0 {
-			k.park()
-			return
-		}
-		k.resume(k.scheduleNext())
+		k.yield()
 		return
 	case TrapID:
 		setR(0, Word(i))
@@ -1049,11 +1054,15 @@ func (k *Kernel) WriteRegimeMem(i int, vaddr Word, v Word) bool {
 	return k.regimeWrite(i, vaddr, v)
 }
 
+// live reports whether regime i holds the CPU in user mode: its registers
+// are then the machine's, and its save area is stale.
+func (k *Kernel) live(i int) bool { return i == k.current() && machine.IsUser(k.m.PSW()) }
+
 // RegimeReg returns register r of regime i as the regime would see it:
-// live machine state when the regime is current and in user mode, its save
-// area otherwise (whose slots run R0–R5, SP, PC in register order).
+// live machine state when live(i), its save area otherwise (whose slots
+// run R0–R5, SP, PC in register order).
 func (k *Kernel) RegimeReg(i, r int) Word {
-	if i == k.current() && machine.IsUser(k.m.PSW()) {
+	if k.live(i) {
 		return k.m.Reg(r)
 	}
 	return k.m.ReadPhys(saveBase(i) + saveR0 + Word(r))

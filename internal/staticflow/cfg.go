@@ -60,6 +60,29 @@ type Instr struct {
 // Len returns the instruction length in words.
 func (i *Instr) Len() Word { return Word(len(i.Words)) }
 
+// Operands decodes the source and destination operand specs and their
+// extension words, source first. An operand the opcode does not use, or
+// whose mode takes no extension word, has extension 0.
+func (i *Instr) Operands() (srcSpec, srcExt, dstSpec, dstExt Word) {
+	srcSpec, dstSpec = machine.SrcSpec(i.Words[0]), machine.DstSpec(i.Words[0])
+	next := 1
+	ext := func(spec Word) Word {
+		m := machine.SpecMode(spec)
+		if (m != machine.ModeIndexed && m != machine.ModeExtended) || next >= len(i.Words) {
+			return 0
+		}
+		next++
+		return i.Words[next-1]
+	}
+	if machine.HasSrc(i.Op) {
+		srcExt = ext(srcSpec)
+	}
+	if machine.HasDst(i.Op) {
+		dstExt = ext(dstSpec)
+	}
+	return
+}
+
 // Block is a maximal straight-line instruction run.
 type Block struct {
 	ID     int

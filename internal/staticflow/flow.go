@@ -523,27 +523,7 @@ func (a *analysis) kernelSet(in *Instr, st *state, l loc, c Colour) {
 // step applies one instruction's transfer function.
 func (a *analysis) step(in *Instr, st *state, pc Colour, report bool) {
 	op := in.Op
-	w := in.Words[0]
-
-	// Operand extension words: source first, then destination.
-	var srcExt, dstExt Word
-	next := 1
-	getExt := func(spec Word) Word {
-		m := machine.SpecMode(spec)
-		if (m == machine.ModeIndexed || m == machine.ModeExtended) && next < len(in.Words) {
-			e := in.Words[next]
-			next++
-			return e
-		}
-		return 0
-	}
-	srcSpec, dstSpec := machine.SrcSpec(w), machine.DstSpec(w)
-	if machine.HasSrc(op) {
-		srcExt = getExt(srcSpec)
-	}
-	if machine.HasDst(op) {
-		dstExt = getExt(dstSpec)
-	}
+	srcSpec, srcExt, dstSpec, dstExt := in.Operands()
 
 	// Flag writes are flow-checked only where the condition codes are live
 	// (liveness.go); the colour always propagates so the state stays sound.

@@ -246,23 +246,7 @@ func (v *vsa) readSrc(s *vsaState, spec, ext Word) vset {
 // step applies one instruction's value transfer to s in place.
 func (v *vsa) step(in *Instr, s *vsaState) {
 	op := in.Op
-	w := in.Words[0]
-
-	var srcExt Word
-	next := 1
-	getExt := func(spec Word) Word {
-		m := machine.SpecMode(spec)
-		if (m == machine.ModeIndexed || m == machine.ModeExtended) && next < len(in.Words) {
-			e := in.Words[next]
-			next++
-			return e
-		}
-		return 0
-	}
-	srcSpec, dstSpec := machine.SrcSpec(w), machine.DstSpec(w)
-	if machine.HasSrc(op) {
-		srcExt = getExt(srcSpec)
-	}
+	srcSpec, srcExt, dstSpec, _ := in.Operands()
 
 	// dstReg returns the tracked register the destination names, or -1.
 	dstReg := func() int {
@@ -316,7 +300,7 @@ func (v *vsa) step(in *Instr, s *vsaState) {
 	case machine.OpTRAP:
 		// Kernel services write registers per their exported footprints;
 		// an unknown code writes the error status into R0.
-		if fp, ok := kernel.FootprintFor(machine.TrapCodeOf(w)); ok {
+		if fp, ok := kernel.FootprintFor(machine.TrapCodeOf(in.Words[0])); ok {
 			for _, rw := range fp.WriteRegs {
 				if rw.Reg <= 5 {
 					s[rw.Reg] = vsTop()
