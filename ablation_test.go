@@ -8,13 +8,13 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/distsys"
 	"repro/internal/kernel"
 	"repro/internal/separability"
 	"repro/internal/snfe"
 	"repro/internal/timingchan"
 	"repro/internal/verifysys"
+	"repro/internal/witness"
 	"repro/internal/workstation"
 )
 
@@ -115,17 +115,15 @@ loop:
 `
 	for _, capacity := range []int{1, 4, 16, 64} {
 		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
-			sys := core.NewBuilder().
-				RegimeSized("p", producer, 0x200).
-				RegimeSized("c", consumer, 0x200).
-				Channel("p", "c", capacity).
-				MustBuild()
+			k := boot(b, witness.SystemSpec{Kind: "verifysys",
+				Regimes:  regimes("p", producer, "c", consumer),
+				Channels: []witness.ChannelSpec{{From: "p", To: "c", Capacity: capacity}}}).K
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sys.Kernel.Step()
+				k.Step()
 			}
 			b.StopTimer()
-			got := sys.Kernel.RegimeReg(sys.Kernel.RegimeIndex("c"), 4)
+			got := k.RegimeReg(k.RegimeIndex("c"), 4)
 			if b.N > 0 {
 				b.ReportMetric(float64(got)/float64(b.N), "words/cycle")
 			}

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/baseline"
-	"repro/internal/core"
 	"repro/internal/distsys"
 	"repro/internal/guard"
 	"repro/internal/ifa"
@@ -36,6 +35,7 @@ import (
 	"repro/internal/snfe"
 	"repro/internal/terminal"
 	"repro/internal/verifysys"
+	"repro/internal/witness"
 	"repro/internal/workstation"
 )
 
@@ -474,30 +474,26 @@ func BenchmarkE9KernelOverhead(b *testing.B) {
 		b.ReportMetric(1, "instr/step")
 	})
 	b.Run("under-kernel", func(b *testing.B) {
-		sys := core.NewBuilder().
-			RegimeSized("a", `
+		k := boot(b, witness.SystemSpec{Kind: "verifysys", Regimes: regimes("a", `
 				.org 0x40
 			start:
 				ADD #1, R2
 				SUB #1, R3
 				BR start
-			`, 0x200).
-			MustBuild()
+			`)}).K
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sys.Kernel.Step()
+			k.Step()
 		}
 	})
 	b.Run("swap-cost", func(b *testing.B) {
-		sys := core.NewBuilder().
-			RegimeSized("a", swapLoop, 0x200).
-			RegimeSized("b", swapLoop, 0x200).
-			MustBuild()
+		k := boot(b, witness.SystemSpec{Kind: "verifysys",
+			Regimes: regimes("a", swapLoop, "b", swapLoop)}).K
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sys.Kernel.Step()
+			k.Step()
 		}
-		st := sys.Stats()
+		st := k.Stats()
 		if st.Swaps > 0 {
 			b.ReportMetric(float64(uint64(b.N))/float64(st.Swaps), "cycles/swap")
 		}
@@ -510,20 +506,15 @@ func BenchmarkE9KernelOverhead(b *testing.B) {
 // sink stays cheap. Sub-benchmarks step the same two-regime syscall-heavy
 // workload with no tracer, the no-op tracer, and a ring sink.
 func BenchmarkE11TracingOverhead(b *testing.B) {
-	build := func() *core.System {
-		return core.NewBuilder().
-			RegimeSized("a", swapLoop, 0x200).
-			RegimeSized("b", swapLoop, 0x200).
-			MustBuild()
-	}
 	run := func(b *testing.B, tr obs.Tracer) {
-		sys := build()
+		sys := boot(b, witness.SystemSpec{Kind: "verifysys",
+			Regimes: regimes("a", swapLoop, "b", swapLoop)})
 		if tr != nil {
 			sys.SetTracer(tr)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			sys.Kernel.Step()
+			sys.K.Step()
 		}
 	}
 	b.Run("untraced", func(b *testing.B) { run(b, nil) })

@@ -31,10 +31,11 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 type chanFlags []string
@@ -80,6 +81,17 @@ yield:
 	BR loop
 `
 
+// demoSpec adds the built-in demo to spec: a sender and a receiver
+// joined by one channel.
+func demoSpec(spec witness.SystemSpec) witness.SystemSpec {
+	spec.Regimes = []witness.RegimeSpec{
+		{Name: "sender", Source: demoSender},
+		{Name: "receiver", Source: demoReceiver},
+	}
+	spec.Channels = []witness.ChannelSpec{{From: "sender", To: "receiver", Capacity: 8}}
+	return spec
+}
+
 func main() {
 	steps := flag.Int("steps", 50000, "maximum machine cycles to run")
 	cut := flag.Bool("cut", false, "apply the channel-cutting transformation")
@@ -101,14 +113,10 @@ func main() {
 		out = os.Stderr
 	}
 
-	b := core.NewBuilder()
+	spec := witness.SystemSpec{Kind: "verifysys", Cut: *cut, FixedSlice: *slice}
 	args := flag.Args()
-	var names []string
 	if len(args) == 0 {
-		b.Regime("sender", demoSender)
-		b.Regime("receiver", demoReceiver)
-		b.Channel("sender", "receiver", 8)
-		names = []string{"sender", "receiver"}
+		spec = demoSpec(spec)
 		fmt.Fprintln(out, "seprun: no programs given; running the built-in sender/receiver demo")
 	} else {
 		for i, path := range args {
@@ -116,42 +124,41 @@ func main() {
 			if err != nil {
 				fatal(err)
 			}
-			name := fmt.Sprintf("r%d", i)
-			names = append(names, name)
-			b.Regime(name, string(src))
+			spec.Regimes = append(spec.Regimes, witness.RegimeSpec{
+				Name: fmt.Sprintf("r%d", i), Source: string(src)})
 		}
-		for _, spec := range chans {
+		for _, c := range chans {
 			var from, to int
-			if _, err := fmt.Sscanf(spec, "%d:%d", &from, &to); err != nil {
-				fatal(fmt.Errorf("bad -chan %q: %w", spec, err))
+			if _, err := fmt.Sscanf(c, "%d:%d", &from, &to); err != nil {
+				fatal(fmt.Errorf("bad -chan %q: %w", c, err))
 			}
-			if from < 0 || from >= len(names) || to < 0 || to >= len(names) {
-				fatal(fmt.Errorf("-chan %q references a missing regime", spec))
+			if from < 0 || from >= len(args) || to < 0 || to >= len(args) {
+				fatal(fmt.Errorf("-chan %q references a missing regime", c))
 			}
-			b.Channel(names[from], names[to], 16)
+			spec.Channels = append(spec.Channels, witness.ChannelSpec{
+				From: spec.Regimes[from].Name, To: spec.Regimes[to].Name, Capacity: 16})
 		}
 	}
-	if *cut {
-		b.CutChannels()
-	}
-	if *slice > 0 {
-		b.WithFixedSlice(*slice)
+	var names []string
+	for _, r := range spec.Regimes {
+		names = append(names, r.Name)
 	}
 
-	sys, err := b.Build()
+	sys, err := verifysys.FromSpec(spec)
 	if err != nil {
 		fatal(err)
 	}
+	k := sys.K
 	if *itrace > 0 {
 		left := *itrace
-		sys.Machine.SetTracer(func(e machine.TraceEntry) {
+		k.Machine().SetTracer(func(e machine.TraceEntry) {
 			if left <= 0 {
 				return
 			}
 			left--
 			who := "kernel"
 			if e.User {
-				who = names[sys.Kernel.CurrentRegime()]
+				who = names[k.CurrentRegime()]
 			}
 			fmt.Fprintf(out, "%s  [%s]\n", e, who)
 		})
@@ -181,7 +188,7 @@ func main() {
 				return closeFile()
 			}
 		case "chrome":
-			c := obs.NewChrome(w, sys.RegimeNames())
+			c := obs.NewChrome(w, names)
 			sys.SetTracer(c)
 			finishTrace = func() error {
 				if err := c.Close(); err != nil {
@@ -194,7 +201,7 @@ func main() {
 		}
 	}
 
-	n := sys.RunUntilIdle(*steps)
+	n := k.RunUntilIdle(*steps)
 
 	if finishTrace != nil {
 		if err := finishTrace(); err != nil {
@@ -203,16 +210,16 @@ func main() {
 		fmt.Fprintf(out, "trace written to %s (%s)\n", *tracePath, *traceFormat)
 	}
 
-	fmt.Fprintf(out, "ran %d cycles (%d machine cycles total)\n", n, sys.Machine.Cycles())
-	if sys.Kernel.Dead() {
-		fmt.Fprintf(out, "KERNEL DIED: %v\n", sys.Kernel.Cause)
+	fmt.Fprintf(out, "ran %d cycles (%d machine cycles total)\n", n, k.Machine().Cycles())
+	if k.Dead() {
+		fmt.Fprintf(out, "KERNEL DIED: %v\n", k.Cause)
 		os.Exit(1)
 	}
-	exitReport(out, sys, names)
+	exitReport(out, k, names)
 
 	if *metrics {
 		reg := obs.NewRegistry()
-		sys.Kernel.FillRegistry(reg)
+		k.FillRegistry(reg)
 		fmt.Fprintln(out, "\nmetrics:")
 		reg.WritePrometheus(out)
 	}
@@ -220,14 +227,14 @@ func main() {
 
 // exitReport prints the per-regime outcome: what each regime did (from the
 // kernel's activity counters) and how it ended.
-func exitReport(out io.Writer, sys *core.System, names []string) {
-	st := sys.Stats()
+func exitReport(out io.Writer, k *kernel.Kernel, names []string) {
+	st := k.Stats()
 	fmt.Fprintf(out, "kernel: swaps=%d sched-decisions=%d ctx-switches=%d interrupts=%d deliveries=%d\n",
 		st.Swaps, st.SchedDecisions, st.Switches, st.Interrupts, st.Deliveries)
 	fmt.Fprintf(out, "%-10s %-13s %9s %9s %6s %6s  %s\n",
 		"regime", "state", "instrs", "syscalls", "sends", "recvs", "exit")
 	for i, name := range names {
-		state := sys.Kernel.RegimeStateOf(i)
+		state := k.RegimeStateOf(i)
 		stateName := map[machine.Word]string{
 			kernel.StateRunnable: "runnable",
 			kernel.StateDead:     "halted",
@@ -237,14 +244,14 @@ func exitReport(out io.Writer, sys *core.System, names []string) {
 		switch state {
 		case kernel.StateDead:
 			exit = "halted voluntarily (TRAP #HALTME)"
-			if f := sys.Kernel.RegimeFault(i); f.Reason != "" {
+			if f := k.RegimeFault(i); f.Reason != "" {
 				stateName = "faulted"
 				exit = fmt.Sprintf("FAULT: %s at PC %#x", f.Reason, f.PC)
 			}
 		case kernel.StateWaitIRQ:
 			exit = "blocked in TRAP #WAITIRQ"
 		}
-		w, _ := sys.RegimeWord(name, 0x20)
+		w, _ := k.RegimeWord(name, 0x20)
 		fmt.Fprintf(out, "%-10s %-13s %9d %9d %6d %6d  %s (mem[0x20]=%#x)\n",
 			name, stateName,
 			st.InstrPerRegime[i], st.SyscallPerRegime[i],

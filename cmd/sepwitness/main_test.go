@@ -14,9 +14,14 @@ import (
 // captureDir populates a witness store from a RegisterLeak run and returns
 // its path.
 func captureDir(t *testing.T) string {
+	return captureSpec(t, verifysys.SpecFor("RegisterLeak", true, false))
+}
+
+// captureSpec populates a witness store from a run on the system spec
+// declares and returns its path.
+func captureSpec(t *testing.T, spec witness.SystemSpec) string {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "w")
-	spec := verifysys.SpecFor("RegisterLeak", true, false)
 	sys, err := verifysys.FromSpec(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +73,30 @@ func TestCLIListShowReplayDiff(t *testing.T) {
 	}
 	if code, _, _ = run(t, "-dir", dir, "diff", t.TempDir()); code != 1 {
 		t.Errorf("diff vs empty store: code=%d, want 1", code)
+	}
+}
+
+// A declared fixed-slice system with a planted leak is captured and
+// replayed like the standard one: the witness records the whole spec.
+func TestCLIReplayDeclaredFixedSliceSystem(t *testing.T) {
+	count := `
+	.org 0x40
+start:
+	MOV #0, R5
+loop:
+	ADD #1, R5
+	MOV R5, @0x20
+	TRAP #SWAP
+	BR loop
+`
+	dir := captureSpec(t, witness.SystemSpec{Kind: "verifysys", Leak: "RegisterLeak", FixedSlice: 50,
+		Regimes: []witness.RegimeSpec{
+			{Name: "red", Source: count, Size: 0x200},
+			{Name: "black", Source: count, Size: 0x200},
+		}})
+	code, out, errOut := run(t, "-dir", dir, "replay")
+	if code != 0 || !strings.Contains(out, "ok   ") {
+		t.Fatalf("replay: code=%d out=%q err=%q", code, out, errOut)
 	}
 }
 

@@ -31,9 +31,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sys.RunUntilIdle(200000)
-	if sys.Kernel.Dead() {
-		log.Fatalf("kernel died: %v", sys.Kernel.Cause)
+	sys.K.RunUntilIdle(200000)
+	if sys.K.Dead() {
+		log.Fatalf("kernel died: %v", sys.K.Cause)
 	}
 
 	show := func(name string, reqs []machine.Word) {
@@ -57,7 +57,7 @@ func main() {
 	show("alice", alice)
 	show("bob", bob)
 
-	st := sys.Stats()
+	st := sys.K.Stats()
 	fmt.Printf("\nkernel: %d swaps, %d instructions for the server regime\n",
 		st.Swaps, st.InstrPerRegime[0])
 	fmt.Println("the kernel mediated every word and enforced none of the policy —")

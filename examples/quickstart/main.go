@@ -8,9 +8,9 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
-	"repro/internal/kernel"
 	"repro/internal/separability"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 // Two regimes. RED counts; BLACK counts. They share one processor and, by
@@ -38,40 +38,43 @@ loop:
 	BR loop
 `
 
+// spec declares the system; leak names a planted kernel fault (empty for
+// the honest kernel).
+func spec(leak string) witness.SystemSpec {
+	return witness.SystemSpec{Kind: "verifysys", Leak: leak,
+		Regimes: []witness.RegimeSpec{
+			{Name: "red", Source: red, Size: 0x200},
+			{Name: "black", Source: black, Size: 0x200},
+		}}
+}
+
 func main() {
-	sys, err := core.NewBuilder().
-		RegimeSized("red", red, 0x200).
-		RegimeSized("black", black, 0x200).
-		Build()
+	sys, err := verifysys.FromSpec(spec(""))
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	sys.Run(2000)
-	r, _ := sys.RegimeWord("red", 0x20)
-	b, _ := sys.RegimeWord("black", 0x20)
+	sys.K.Run(2000)
+	r, _ := sys.K.RegimeWord("red", 0x20)
+	b, _ := sys.K.RegimeWord("black", 0x20)
 	fmt.Printf("after 2000 cycles: red counted to %d, black to %d\n", r, b)
-	fmt.Printf("kernel stats: %+v\n\n", sys.Stats())
+	fmt.Printf("kernel stats: %+v\n\n", sys.K.Stats())
 
 	// Verify: the six conditions of the paper's Appendix, checked on
 	// randomly explored reachable states with Φ-preserving perturbations.
 	fmt.Println("running Proof of Separability on the honest kernel...")
-	res := sys.Verify(separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
+	res := separability.CheckRandomized(sys, separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
 	fmt.Println("  ", res.Summary())
 
 	// Now deliberately break the kernel: don't reload R5 on context
 	// switches (the exact hazard of the paper's SWAP discussion) and
 	// verify again.
 	fmt.Println("injecting the RegisterLeak bug and re-verifying...")
-	leaky, err := core.NewBuilder().
-		RegimeSized("red", red, 0x200).
-		RegimeSized("black", black, 0x200).
-		WithLeaks(kernel.Leaks{RegisterLeak: true}).
-		Build()
+	leaky, err := verifysys.FromSpec(spec("RegisterLeak"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res = leaky.Verify(separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
+	res = separability.CheckRandomized(leaky, separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 1})
 	fmt.Println("  ", res.Summary())
 	if !res.Passed() {
 		fmt.Println("   first counterexample:", res.Violations[0])

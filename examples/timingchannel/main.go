@@ -26,7 +26,7 @@ func main() {
 	}
 	fmt.Printf("classic SUE scheduling (run until SWAP):  %s\n", res.Covert)
 
-	check := separability.CheckRandomized(sys.Adapter, separability.Options{
+	check := separability.CheckRandomized(sys, separability.Options{
 		Trials: 6, StepsPerTrial: 60, Seed: 3, CheckScheduling: true,
 	})
 	fmt.Printf("Proof of Separability on that system:     %s\n", check.Summary())
@@ -41,7 +41,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("fixed time slices (200 cycles each):      %s\n", resF.Covert)
-	checkF := separability.CheckRandomized(sysF.Adapter, separability.Options{
+	checkF := separability.CheckRandomized(sysF, separability.Options{
 		Trials: 6, StepsPerTrial: 60, Seed: 3, CheckScheduling: true,
 	})
 	fmt.Printf("Proof of Separability, fixed slices:      %s\n", checkF.Summary())

@@ -11,10 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/ifa"
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 func TestSampleProgramsAssemble(t *testing.T) {
@@ -91,43 +92,61 @@ func TestSampleProgramsRun(t *testing.T) {
 	}
 
 	t.Run("counter", func(t *testing.T) {
-		sys := core.NewBuilder().
-			RegimeSized("a", read("counter.s"), 0x200).
-			RegimeSized("b", read("counter.s"), 0x200).
-			MustBuild()
-		sys.Run(2000)
+		k := boot(t, witness.SystemSpec{Kind: "verifysys",
+			Regimes: regimes("a", read("counter.s"), "b", read("counter.s"))}).K
+		k.Run(2000)
 		for _, name := range []string{"a", "b"} {
-			if v, _ := sys.RegimeWord(name, 0x20); v < 10 {
+			if v, _ := k.RegimeWord(name, 0x20); v < 10 {
 				t.Errorf("%s counted only %d", name, v)
 			}
 		}
 	})
 
 	t.Run("echo", func(t *testing.T) {
-		tty := machine.NewTTY("tty0", 2)
-		sys := core.NewBuilder().
-			RegimeSized("io", read("echo.s"), 0x200, tty).
-			RegimeSized("bg", read("counter.s"), 0x200).
-			MustBuild()
+		k := boot(t, witness.SystemSpec{Kind: "verifysys", Regimes: []witness.RegimeSpec{
+			{Name: "io", Source: read("echo.s"), Size: 0x200,
+				Devices: []witness.DeviceSpec{{Kind: "tty", Name: "tty0", Param: 2}}},
+			{Name: "bg", Source: read("counter.s"), Size: 0x200},
+		}}).K
+		tty := k.Machine().Devices()[0].(*machine.TTY)
 		tty.InjectString("hi")
-		sys.Run(20000)
+		k.Run(20000)
 		if got := tty.OutputString(); got != "hi" {
 			t.Errorf("echo = %q", got)
 		}
 	})
 
 	t.Run("chanpair", func(t *testing.T) {
-		sys := core.NewBuilder().
-			RegimeSized("r0", read("chanpair.s"), 0x200).
-			RegimeSized("r1", read("chanpair.s"), 0x200).
-			Channel("r0", "r1", 16).
-			Channel("r1", "r0", 16).
-			MustBuild()
-		sys.Run(5000)
+		k := boot(t, witness.SystemSpec{Kind: "verifysys",
+			Regimes: regimes("r0", read("chanpair.s"), "r1", read("chanpair.s")),
+			Channels: []witness.ChannelSpec{
+				{From: "r0", To: "r1", Capacity: 16},
+				{From: "r1", To: "r0", Capacity: 16},
+			}}).K
+		k.Run(5000)
 		for _, name := range []string{"r0", "r1"} {
-			if v, _ := sys.RegimeWord(name, 0x20); v == 0 {
+			if v, _ := k.RegimeWord(name, 0x20); v == 0 {
 				t.Errorf("%s never saw its peer's counter", name)
 			}
 		}
 	})
+}
+
+// boot builds and boots the system spec declares, failing tb on error.
+func boot(tb testing.TB, spec witness.SystemSpec) *kernel.Adapter {
+	tb.Helper()
+	sys, err := verifysys.FromSpec(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sys
+}
+
+// regimes declares one 0x200-word regime per name/source pair.
+func regimes(nameSrc ...string) []witness.RegimeSpec {
+	var rs []witness.RegimeSpec
+	for i := 0; i+1 < len(nameSrc); i += 2 {
+		rs = append(rs, witness.RegimeSpec{Name: nameSrc[i], Source: nameSrc[i+1], Size: 0x200})
+	}
+	return rs
 }

@@ -15,8 +15,10 @@ package blockstore
 import (
 	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 // Protocol: a request is one word —
@@ -41,7 +43,7 @@ func Put(slot int, val byte) machine.Word {
 func Get(slot int) machine.Word { return machine.Word(slot&0x7f) << 8 }
 
 // ServerSrc is the block-store server regime. Channel plan (indexes are
-// global kernel channel ids, fixed by Build's configuration order):
+// global kernel channel ids, fixed by Spec's channel order):
 //
 //	0: alice -> server    1: server -> alice
 //	2: bob   -> server    3: server -> bob
@@ -158,44 +160,50 @@ reqtab:
 
 // System is a booted block-store deployment.
 type System struct {
-	*core.System
+	*kernel.Adapter
 }
 
 // Build boots the server plus two scripted clients.
 func Build(aliceReqs, bobReqs []machine.Word) (*System, error) {
-	return build(aliceReqs, bobReqs, false)
+	return build(Spec(aliceReqs, bobReqs, false))
 }
 
 // BuildCut boots the same system with the channel-cutting transformation
 // applied, for isolation verification.
 func BuildCut(aliceReqs, bobReqs []machine.Word) (*System, error) {
-	return build(aliceReqs, bobReqs, true)
+	return build(Spec(aliceReqs, bobReqs, true))
 }
 
-func build(aliceReqs, bobReqs []machine.Word, cut bool) (*System, error) {
-	b := core.NewBuilder().
-		RegimeSized("server", ServerSrc, 0x400).
-		RegimeSized("alice", clientSrc(0, 1, aliceReqs), 0x400).
-		RegimeSized("bob", clientSrc(2, 3, bobReqs), 0x400).
-		Channel("alice", "server", 8).
-		Channel("server", "alice", 8).
-		Channel("bob", "server", 8).
-		Channel("server", "bob", 8)
-	if cut {
-		b.CutChannels()
-	}
-	sys, err := b.Build()
+// Spec declares the server plus two scripted clients, joined by one request
+// and one reply channel per client.
+func Spec(aliceReqs, bobReqs []machine.Word, cut bool) witness.SystemSpec {
+	return witness.SystemSpec{Kind: "verifysys", Cut: cut,
+		Regimes: []witness.RegimeSpec{
+			{Name: "server", Source: ServerSrc, Size: 0x400},
+			{Name: "alice", Source: clientSrc(0, 1, aliceReqs), Size: 0x400},
+			{Name: "bob", Source: clientSrc(2, 3, bobReqs), Size: 0x400},
+		},
+		Channels: []witness.ChannelSpec{
+			{From: "alice", To: "server", Capacity: 8},
+			{From: "server", To: "alice", Capacity: 8},
+			{From: "bob", To: "server", Capacity: 8},
+			{From: "server", To: "bob", Capacity: 8},
+		}}
+}
+
+func build(spec witness.SystemSpec) (*System, error) {
+	sys, err := verifysys.FromSpec(spec)
 	if err != nil {
 		return nil, err
 	}
-	return &System{System: sys}, nil
+	return &System{Adapter: sys}, nil
 }
 
 // Replies reads back the replies a client recorded.
 func (s *System) Replies(client string, n int) ([]machine.Word, error) {
 	var out []machine.Word
 	for i := 0; i < n; i++ {
-		v, ok := s.RegimeWord(client, machine.Word(0x200+i))
+		v, ok := s.K.RegimeWord(client, machine.Word(0x200+i))
 		if !ok {
 			return nil, fmt.Errorf("blockstore: cannot read %s reply %d", client, i)
 		}

@@ -15,9 +15,9 @@ func run(t *testing.T, alice, bob []machine.Word) *blockstore.System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys.RunUntilIdle(200000)
-	if sys.Kernel.Dead() {
-		t.Fatalf("kernel died: %v", sys.Kernel.Cause)
+	sys.K.RunUntilIdle(200000)
+	if sys.K.Dead() {
+		t.Fatalf("kernel died: %v", sys.K.Cause)
 	}
 	return sys
 }
@@ -79,10 +79,10 @@ func TestClientsFinish(t *testing.T) {
 		[]machine.Word{blockstore.Get(0)},
 		[]machine.Word{blockstore.Get(16)})
 	for _, c := range []string{"alice", "bob"} {
-		i := sys.Kernel.RegimeIndex(c)
-		if st := sys.Kernel.RegimeStateOf(i); st != kernel.StateDead {
+		i := sys.K.RegimeIndex(c)
+		if st := sys.K.RegimeStateOf(i); st != kernel.StateDead {
 			t.Errorf("%s did not halt cleanly (state %d, fault %+v)",
-				c, st, sys.Kernel.RegimeFault(i))
+				c, st, sys.K.RegimeFault(i))
 		}
 	}
 }

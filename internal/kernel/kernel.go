@@ -1049,6 +1049,16 @@ func (k *Kernel) ReadRegimeMem(i int, vaddr Word) (Word, bool) {
 	return k.regimeRead(i, vaddr)
 }
 
+// RegimeWord reads one word of the named regime's virtual memory; ok is
+// false for an unknown regime or an address outside its partition.
+func (k *Kernel) RegimeWord(name string, vaddr Word) (Word, bool) {
+	i := k.RegimeIndex(name)
+	if i < 0 {
+		return 0, false
+	}
+	return k.regimeRead(i, vaddr)
+}
+
 // WriteRegimeMem writes regime i's virtual memory (partition only).
 func (k *Kernel) WriteRegimeMem(i int, vaddr Word, v Word) bool {
 	return k.regimeWrite(i, vaddr, v)

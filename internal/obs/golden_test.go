@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/separability"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 // The two-regime demo from cmd/seprun, duplicated here so the golden trace
@@ -48,13 +50,14 @@ yield:
 	BR loop
 `
 
-func buildDemo(t *testing.T) *core.System {
+func buildDemo(t *testing.T) *kernel.Adapter {
 	t.Helper()
-	b := core.NewBuilder()
-	b.Regime("sender", demoSender)
-	b.Regime("receiver", demoReceiver)
-	b.Channel("sender", "receiver", 8)
-	sys, err := b.Build()
+	sys, err := verifysys.FromSpec(witness.SystemSpec{Kind: "verifysys",
+		Regimes: []witness.RegimeSpec{
+			{Name: "sender", Source: demoSender},
+			{Name: "receiver", Source: demoReceiver},
+		},
+		Channels: []witness.ChannelSpec{{From: "sender", To: "receiver", Capacity: 8}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +71,7 @@ func TestDemoTraceGolden(t *testing.T) {
 	sys := buildDemo(t)
 	ring := obs.NewRing(65536)
 	sys.SetTracer(ring)
-	sys.RunUntilIdle(50000)
+	sys.K.RunUntilIdle(50000)
 
 	events := ring.Events()
 	if len(events) == 0 {
@@ -111,13 +114,13 @@ func TestDemoTraceGolden(t *testing.T) {
 	}
 	// The boot hand-off happens before the tracer is attached, so the ring
 	// sees exactly one fewer switch than the kernel counted.
-	if got, want := counts[obs.EvContextSwitch], int(sys.Stats().Switches)-1; got != want {
+	if got, want := counts[obs.EvContextSwitch], int(sys.K.Stats().Switches)-1; got != want {
 		t.Errorf("ctx-switch events = %d, kernel counted %d post-boot", got, want)
 	}
 
 	// The same events must render as a loadable Chrome trace.
 	var buf bytes.Buffer
-	if err := obs.WriteChrome(&buf, sys.RegimeNames(), events); err != nil {
+	if err := obs.WriteChrome(&buf, []string{"sender", "receiver"}, events); err != nil {
 		t.Fatal(err)
 	}
 	var parsed []map[string]any
@@ -169,14 +172,14 @@ func TestTracerDoesNotPerturbDigests(t *testing.T) {
 	byDigest := map[digestKey]string{}
 	byPhi := map[phiKey]uint64{}
 	for step := 0; step < 50; step++ {
-		bare.Run(100)
-		traced.Run(100)
-		for _, c := range bare.Adapter.Colours() {
-			bd, td := bare.Adapter.AbstractDigest(c), traced.Adapter.AbstractDigest(c)
+		bare.K.Run(100)
+		traced.K.Run(100)
+		for _, c := range bare.Colours() {
+			bd, td := bare.AbstractDigest(c), traced.AbstractDigest(c)
 			if bd != td {
 				t.Fatalf("step %d colour %v: digest %#x (bare) != %#x (traced)", step, c, bd, td)
 			}
-			ba, ta := bare.Adapter.Abstract(c), traced.Adapter.Abstract(c)
+			ba, ta := bare.Abstract(c), traced.Abstract(c)
 			if ba != ta {
 				t.Fatalf("step %d colour %v: Φ^c diverged:\n%s\nvs\n%s", step, c, ba, ta)
 			}
@@ -196,10 +199,10 @@ func TestTracerDoesNotPerturbDigests(t *testing.T) {
 
 	// Verification outcome must be byte-identical with the tracer attached.
 	vo := separability.Options{Trials: 4, StepsPerTrial: 50, Seed: 3, Workers: 1}
-	bareRes := buildDemo(t).Verify(vo)
+	bareRes := separability.CheckRandomized(buildDemo(t), vo)
 	tsys := buildDemo(t)
 	tsys.SetTracer(obs.NewRing(1024))
-	tracedRes := tsys.Verify(vo)
+	tracedRes := separability.CheckRandomized(tsys, vo)
 	if bareRes.Summary() != tracedRes.Summary() {
 		t.Fatalf("tracer changed the verification outcome:\n  %s\n  %s",
 			bareRes.Summary(), tracedRes.Summary())
@@ -212,7 +215,7 @@ func TestTraceFormatsAgree(t *testing.T) {
 	sys := buildDemo(t)
 	ring := obs.NewRing(65536)
 	sys.SetTracer(ring)
-	sys.RunUntilIdle(50000)
+	sys.K.RunUntilIdle(50000)
 
 	var buf bytes.Buffer
 	j := obs.NewJSONL(&buf)

@@ -22,7 +22,7 @@ func TestReadJSONLRoundTripsDemoTrace(t *testing.T) {
 		ring.Emit(e)
 		j.Emit(e)
 	}))
-	sys.RunUntilIdle(50000)
+	sys.K.RunUntilIdle(50000)
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}

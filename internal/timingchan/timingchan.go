@@ -23,10 +23,12 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/covert"
+	"repro/internal/kernel"
 	"repro/internal/machine"
 	"repro/internal/obs"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 // senderSrc modulates CPU hold time per bit: a long busy loop for 1, an
@@ -131,59 +133,66 @@ type Config struct {
 	StopOnFinish bool
 }
 
-// RunConfig builds the two-regime system (no channels!), runs it, and
-// decodes the receiver's memory. Sender is regime 0, receiver regime 1.
-func RunConfig(cfg Config) (*Result, *core.System, error) {
+// Spec declares the two-regime system (no channels!) a run boots: the
+// sender and the receiver, which owns the clock it decodes with.
+func Spec(cfg Config) witness.SystemSpec {
+	return witness.SystemSpec{Kind: "verifysys", FixedSlice: cfg.FixedSlice,
+		Regimes: []witness.RegimeSpec{
+			{Name: "sender", Source: senderSrc(covert.Bitstring(cfg.Seed, cfg.NBits), cfg.Busy), Size: 0x400},
+			{Name: "receiver", Source: receiverSrc(cfg.NBits, cfg.Threshold), Size: 0x400,
+				Devices: []witness.DeviceSpec{{Kind: "clock", Name: "clk", Param: 1}}},
+		}}
+}
+
+// RunConfig builds the system Spec declares, runs it, and decodes the
+// receiver's memory. Sender is regime 0, receiver regime 1.
+func RunConfig(cfg Config) (*Result, *kernel.Adapter, error) {
 	bits := covert.Bitstring(cfg.Seed, cfg.NBits)
-	clk := machine.NewClock("clk", 1) // the receiver's wall clock
-	b := core.NewBuilder().
-		RegimeSized("sender", senderSrc(bits, cfg.Busy), 0x400).
-		RegimeSized("receiver", receiverSrc(cfg.NBits, cfg.Threshold), 0x400, clk)
-	cycles := cfg.NBits*(cfg.Busy*2+64) + 4000
-	if cfg.FixedSlice > 0 {
-		b = b.WithFixedSlice(cfg.FixedSlice)
-		cycles = cfg.NBits*cfg.FixedSlice*4 + 8000
-	}
-	sys, err := b.Build()
+	sys, err := verifysys.FromSpec(Spec(cfg))
 	if err != nil {
 		return nil, nil, err
 	}
+	cycles := cfg.NBits*(cfg.Busy*2+64) + 4000
+	if cfg.FixedSlice > 0 {
+		cycles = cfg.NBits*cfg.FixedSlice*4 + 8000
+	}
+	k := sys.K
 	if cfg.Tracer != nil {
 		sys.SetTracer(cfg.Tracer)
 	}
 	if cfg.StopOnFinish {
 		for spent := 0; spent < cycles; spent += 256 {
-			sys.Run(256)
-			if flag, _ := sys.RegimeWord("receiver", 0x100); flag == 1 {
+			k.Run(256)
+			if flag, _ := k.RegimeWord("receiver", 0x100); flag == 1 {
 				break
 			}
 		}
 	} else {
-		sys.Run(cycles)
+		k.Run(cycles)
 	}
-	if sys.Kernel.Dead() {
-		return nil, nil, fmt.Errorf("timingchan: kernel died: %v", sys.Kernel.Cause)
+	if k.Dead() {
+		return nil, nil, fmt.Errorf("timingchan: kernel died: %v", k.Cause)
 	}
 	res := &Result{Sent: bits}
-	if flag, _ := sys.RegimeWord("receiver", 0x100); flag == 1 {
+	if flag, _ := k.RegimeWord("receiver", 0x100); flag == 1 {
 		res.Finished = true
 	}
 	for i := 0; i < cfg.NBits; i++ {
-		v, _ := sys.RegimeWord("receiver", machine.Word(0x200+i))
+		v, _ := k.RegimeWord("receiver", machine.Word(0x200+i))
 		res.Decoded = append(res.Decoded, int(v))
 	}
-	res.Covert = covert.Measure(bits, res.Decoded, int(sys.Machine.Cycles()))
+	res.Covert = covert.Measure(bits, res.Decoded, int(k.Machine().Cycles()))
 	return res, sys, nil
 }
 
 // Run is RunConfig under round-robin scheduling (the open channel).
-func Run(nbits int, seed uint64, busy, threshold int) (*Result, *core.System, error) {
+func Run(nbits int, seed uint64, busy, threshold int) (*Result, *kernel.Adapter, error) {
 	return RunConfig(Config{NBits: nbits, Seed: seed, Busy: busy, Threshold: threshold})
 }
 
 // RunFixed is Run with the kernel's fixed-slice scheduling enabled: every
 // rotation takes the same wall-clock time regardless of the sender's
 // behaviour, so the receiver's deltas carry (nearly) nothing.
-func RunFixed(nbits int, seed uint64, busy, threshold, slice int) (*Result, *core.System, error) {
+func RunFixed(nbits int, seed uint64, busy, threshold, slice int) (*Result, *kernel.Adapter, error) {
 	return RunConfig(Config{NBits: nbits, Seed: seed, Busy: busy, Threshold: threshold, FixedSlice: slice})
 }

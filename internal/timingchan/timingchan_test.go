@@ -37,7 +37,7 @@ func TestTimingChannelInvisibleToSixConditions(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := separability.Options{Trials: 6, StepsPerTrial: 60, Seed: 3, CheckScheduling: true}
-	res := separability.CheckRandomized(sys.Adapter, opt)
+	res := separability.CheckRandomized(sys, opt)
 	if !res.Passed() {
 		t.Fatalf("separability flagged the timing-channel system: %s — the model boundary moved?",
 			res.Summary())
@@ -81,7 +81,7 @@ func TestFixedSliceKernelPassesSeparability(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := separability.Options{Trials: 5, StepsPerTrial: 60, Seed: 3, CheckScheduling: true}
-	res := separability.CheckRandomized(sys.Adapter, opt)
+	res := separability.CheckRandomized(sys, opt)
 	if !res.Passed() {
 		for i, v := range res.Violations {
 			if i > 3 {

@@ -28,7 +28,7 @@ type Query struct {
 
 // Matches reports whether w satisfies every set constraint of q.
 func (q Query) Matches(w *Witness) bool {
-	if q.System != nil && *q.System != w.System {
+	if q.System != nil && !q.System.Equal(w.System) {
 		return false
 	}
 	if len(q.Conditions) > 0 {
