@@ -306,3 +306,26 @@ func TestHonestKernelManySeeds(t *testing.T) {
 		}
 	}
 }
+
+// The scheduling extension catches SchedulerSnoop at every seed where
+// checking only the first step after c's operation missed it: two seeds of
+// a 12,000-seed scan at sepverify's default budget, and the five derived
+// checker seeds of randomized_registry requests that reported a wrong
+// verdict. Each seed passed wrongly before the extension stepped the twin
+// to c's next scheduling decision.
+func TestSchedulerSnoopCaughtAtFormerlyMissedSeeds(t *testing.T) {
+	spec := verifysys.SpecFor("SchedulerSnoop", true, false)
+	for _, seed := range []int64{9308, 9439,
+		8210202092412363934, 2488432118453293752, -5423923631358976601,
+		6013240820941838186, 6241648297686680038} {
+		sys, err := verifysys.FromSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := separability.CheckRandomized(sys, separability.Options{Trials: 10, StepsPerTrial: 100,
+			InputEvery: 8, CheckScheduling: true, Seed: seed, Workers: 1})
+		if res.Passed() {
+			t.Errorf("seed %d: SchedulerSnoop passed: %s", seed, res.Summary())
+		}
+	}
+}

@@ -31,15 +31,15 @@ var violationPins = map[string]uint64{
 	"PartitionOverlap/cut=true":   0x56e086bf21c61731,
 	"RegisterLeak/cut=false":      0x11f4c4a006af00fe,
 	"RegisterLeak/cut=true":       0x36b0f4e39d8b621c,
-	"SchedulerSnoop/cut=false":    0xc447369783ef5fd8,
-	"SchedulerSnoop/cut=true":     0x7790add6e66ac5f1,
+	"SchedulerSnoop/cut=false":    0xf5e43771ea0475db,
+	"SchedulerSnoop/cut=true":     0x718a3094867a2046,
 	"SharedScratch/cut=false":     0x16acb3248922243e,
 	"SharedScratch/cut=true":      0x89de422df2745e09,
 }
 
 // violationPinCount is the number of violations those digests cover at one
 // worker, so that a pin cannot pass vacuously.
-const violationPinCount = 214
+const violationPinCount = 263
 
 var violationPinOptions = separability.Options{
 	Trials: 6, StepsPerTrial: 80, Seed: 7, InputEvery: 8, CheckScheduling: true,
