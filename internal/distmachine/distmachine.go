@@ -21,6 +21,8 @@ import (
 	"repro/internal/asm"
 	"repro/internal/kernel"
 	"repro/internal/machine"
+	"repro/internal/verifysys"
+	"repro/internal/witness"
 )
 
 // Node declares one node of the distributed design.
@@ -51,52 +53,56 @@ type Deployment struct {
 	nodes []Node
 }
 
-// assemble prepares a node image (virtual org 0 convention, prelude for
-// the DEVn equates only — no TRAPs are needed by pure-device programs,
-// but yielding politely still works on the kernel deployment).
-func assemble(n Node) (*asm.Image, error) {
-	im, err := asm.Assemble(kernel.Prelude + n.Source)
-	if err != nil {
-		return nil, fmt.Errorf("distmachine: node %q: %w", n.Name, err)
-	}
-	return im, nil
-}
-
-// deviceLists builds, per node, the ordered device list: console printer
-// first, then link endpoints in Wire order. The same construction runs for
-// both deployments so device ordinals match exactly.
-func deviceLists(nodes []Node, wires []Wire) (map[string][]machine.Device, map[string]*machine.Printer) {
-	devs := map[string][]machine.Device{}
-	consoles := map[string]*machine.Printer{}
-	for _, n := range nodes {
-		p := machine.NewPrinter("console."+n.Name, 1)
-		consoles[n.Name] = p
-		devs[n.Name] = []machine.Device{p}
+// regimes declares each node as a regime owning, in order, its console
+// printer and its link endpoints in Wire order. Both deployments build
+// their devices from it, so device ordinals match exactly.
+func regimes(nodes []Node, wires []Wire) []witness.RegimeSpec {
+	rs := make([]witness.RegimeSpec, len(nodes))
+	index := map[string]int{}
+	for i, n := range nodes {
+		index[n.Name] = i
+		rs[i] = witness.RegimeSpec{Name: n.Name, Source: n.Source, Size: 0x1000,
+			Devices: []witness.DeviceSpec{{Kind: "printer", Name: "console." + n.Name, Param: 1}}}
 	}
 	for i, w := range wires {
 		capacity := w.Capacity
 		if capacity <= 0 {
 			capacity = 16
 		}
-		tx, rx := machine.NewLink(fmt.Sprintf("wire%d.%s-%s", i, w.From, w.To), capacity)
-		devs[w.From] = append(devs[w.From], tx)
-		devs[w.To] = append(devs[w.To], rx)
+		name := fmt.Sprintf("wire%d.%s-%s", i, w.From, w.To)
+		for _, end := range [2][2]string{{w.From, "link-tx"}, {w.To, "link-rx"}} {
+			if j, ok := index[end[0]]; ok {
+				rs[j].Devices = append(rs[j].Devices, witness.DeviceSpec{Kind: end[1], Name: name, Param: capacity})
+			}
+		}
 	}
-	return devs, consoles
+	return rs
+}
+
+// consoles maps each node to its console printer, its first device.
+func consoles(nodes []Node, devs [][]machine.Device) map[string]*machine.Printer {
+	out := map[string]*machine.Printer{}
+	for i, n := range nodes {
+		out[n.Name] = devs[i][0].(*machine.Printer)
+	}
+	return out
 }
 
 // BuildPhysical boots one machine per node, programs at physical 0x400,
 // devices attached in the canonical order.
 func BuildPhysical(nodes []Node, wires []Wire) (*Deployment, error) {
-	devs, consoles := deviceLists(nodes, wires)
-	d := &Deployment{Consoles: consoles, nodes: nodes}
-	for _, n := range nodes {
-		im, err := assemble(n)
+	devs, err := verifysys.Devices(regimes(nodes, wires))
+	if err != nil {
+		return nil, err
+	}
+	d := &Deployment{Consoles: consoles(nodes, devs), nodes: nodes}
+	for i, n := range nodes {
+		im, err := asm.Assemble(kernel.Prelude + n.Source)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("distmachine: node %q: %w", n.Name, err)
 		}
 		m := machine.New(0x2000)
-		for _, dev := range devs[n.Name] {
+		for _, dev := range devs[i] {
 			m.Attach(dev)
 		}
 		// With no kernel, run the node program in kernel mode at its
@@ -111,7 +117,7 @@ func BuildPhysical(nodes []Node, wires []Wire) (*Deployment, error) {
 		// Map segment 0 to the program area (like a 4K-word partition)...
 		m.SetSeg(0, 0x400, machine.MakeSegCtl(machine.SegmentWords, machine.AccessRW))
 		// ...and each device at the same virtual segments the kernel uses.
-		for j, dev := range devs[n.Name] {
+		for j, dev := range devs[i] {
 			h, _ := m.DeviceHandle(dev)
 			m.SetSeg(kernel.DeviceSegBase+j, h.Base,
 				machine.MakeSegCtl(dev.Size(), machine.AccessRW))
@@ -142,35 +148,17 @@ func BuildShared(nodes []Node, wires []Wire) (*Deployment, error) {
 // BuildSharedSliced is BuildShared with fixed-slice scheduling (0 keeps
 // the SUE's run-until-SWAP discipline).
 func BuildSharedSliced(nodes []Node, wires []Wire, slice int) (*Deployment, error) {
-	devs, consoles := deviceLists(nodes, wires)
-	d := &Deployment{Consoles: consoles, nodes: nodes}
-	m := machine.New(0xC000)
-	cfg := kernel.Config{FixedSlice: slice}
-	base := kernel.KernelEnd
-	for _, n := range nodes {
-		im, err := assemble(n)
-		if err != nil {
-			return nil, err
-		}
-		for _, dev := range devs[n.Name] {
-			m.Attach(dev)
-		}
-		cfg.Regimes = append(cfg.Regimes, kernel.RegimeSpec{
-			Name: n.Name, Base: base, Size: 0x1000, Image: im,
-			Devices: devs[n.Name],
-		})
-		base += 0x1000
-	}
-	k, err := kernel.New(m, cfg)
+	sys, err := verifysys.FromSpec(witness.SystemSpec{Kind: "verifysys", RAM: 0xC000,
+		FixedSlice: slice, Regimes: regimes(nodes, wires)})
 	if err != nil {
 		return nil, err
 	}
-	if err := k.Boot(); err != nil {
-		return nil, err
+	var devs [][]machine.Device
+	for _, r := range sys.K.Config().Regimes {
+		devs = append(devs, r.Devices)
 	}
-	d.Machines = []*machine.Machine{m}
-	d.Kernel = k
-	return d, nil
+	return &Deployment{Machines: []*machine.Machine{sys.K.Machine()}, Kernel: sys.K,
+		Consoles: consoles(nodes, devs), nodes: nodes}, nil
 }
 
 // Run advances the deployment n steps: physically, all machines step in
