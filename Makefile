@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke
+.PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke examples-smoke
 
 # CI's fast gates: vet (of this module and of the benchmark module in
 # bench/), gofmt over tracked Go files, build, the repository linter, the
@@ -158,6 +158,25 @@ watch-smoke:
 		-deployments honest,leak-RegisterLeak,toy-secure > watch-smoke/serve.txt
 	grep -q 'cycle 1: 3 deployments, 0 drift, 0 verdict flips, 0 errors' watch-smoke/serve.txt
 	@echo "watch-smoke: idempotent re-verification clean, planted leak classified as verdict flip + digest drift"
+
+# Examples smoke: run the examples that boot SUE-Go systems from specs and
+# check one verdict line of each. Quickstart's honest pair must PASS and
+# its RegisterLeak kernel FAIL; blockstore's server must deny alice's read
+# of bob's slot; both timing-channel systems must PASS separability (the
+# open channel is outside the six conditions, the fixed-slice one is
+# closed). Outputs land in examples-smoke/.
+examples-smoke:
+	rm -rf examples-smoke
+	mkdir -p examples-smoke
+	$(GO) run ./examples/quickstart > examples-smoke/quickstart.txt
+	grep -A1 'on the honest kernel' examples-smoke/quickstart.txt | grep -q 'PASS: '
+	grep -A1 'injecting the RegisterLeak bug' examples-smoke/quickstart.txt | grep -q 'FAIL: '
+	$(GO) run ./examples/blockstore > examples-smoke/blockstore.txt
+	grep -q 'GET slot 20  -> DENIED' examples-smoke/blockstore.txt
+	$(GO) run ./examples/timingchannel > examples-smoke/timingchannel.txt
+	grep -q 'Proof of Separability on that system: *PASS' examples-smoke/timingchannel.txt
+	grep -q 'Proof of Separability, fixed slices: *PASS' examples-smoke/timingchannel.txt
+	@echo "examples-smoke: quickstart, blockstore and timing-channel verdicts as expected"
 
 # Race-detector pass over the concurrent verification engine, the kernel
 # adapter and MiniSUE replicas it sweeps (whose workers share the fold's
