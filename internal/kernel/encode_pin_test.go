@@ -257,7 +257,9 @@ func TestEncodingSpotValues(t *testing.T) {
 // runs this package), and each goroutine's digests must pass the
 // equality-partition differential against its renderings. Each system here
 // has gathered before it is cloned, so a clone that copied its original's
-// vector would share it.
+// vector would share it. The standard system owns one TTY; the
+// multi-device one adds more TTYs, a clock, a printer and unowned
+// devices, whose replicas must not share buffers either.
 func TestClonesRenderIndependently(t *testing.T) {
 	build := func() *kernel.Adapter {
 		sys, err := verifysys.FromSpec(verifysys.SpecFor("RegisterLeak", true, false))
@@ -267,33 +269,36 @@ func TestClonesRenderIndependently(t *testing.T) {
 		sys.Abstract("worker")
 		return sys
 	}
-	sys := build()
-	clone, ok := sys.Clone().(*kernel.Adapter)
-	if !ok || clone == nil {
-		t.Fatal("Clone failed")
-	}
-	var wg sync.WaitGroup
-	errs := make(chan string, 2)
-	for _, a := range []*kernel.Adapter{sys, clone} {
-		wg.Add(1)
-		go func(a *kernel.Adapter) {
-			defer wg.Done()
-			part := newPhiPartition()
-			for i := 0; i < 200; i++ {
-				a.Step()
-				for _, c := range a.Colours() {
-					if err := part.check(c, a.AbstractDigest(c), a.Abstract(c)); err != nil {
-						errs <- fmt.Sprintf("step %d: %v", i, err)
-						return
+	multi := multiDeviceAdapter(t)
+	multi.Abstract("a")
+	for _, sys := range []*kernel.Adapter{build(), multi} {
+		clone, ok := sys.Clone().(*kernel.Adapter)
+		if !ok || clone == nil {
+			t.Fatal("Clone failed")
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 2)
+		for _, a := range []*kernel.Adapter{sys, clone} {
+			wg.Add(1)
+			go func(a *kernel.Adapter) {
+				defer wg.Done()
+				part := newPhiPartition()
+				for i := 0; i < 200; i++ {
+					a.Step()
+					for _, c := range a.Colours() {
+						if err := part.check(c, a.AbstractDigest(c), a.Abstract(c)); err != nil {
+							errs <- fmt.Sprintf("step %d: %v", i, err)
+							return
+						}
 					}
 				}
-			}
-		}(a)
-	}
-	wg.Wait()
-	close(errs)
-	for e := range errs {
-		t.Error(e)
+			}(a)
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
 	}
 
 	// The same through the checker: two workers on the leaky system must

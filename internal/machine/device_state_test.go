@@ -119,3 +119,55 @@ func TestDeviceStateNoAlias(t *testing.T) {
 		})
 	}
 }
+
+// A replica is a power-on copy: after the original has run, its replica
+// renders exactly as a freshly constructed device of the same
+// configuration, and neither shares a buffer with the other. Link ends
+// share their wire with the far end, so they are not replicable at all.
+func TestReplicaIsPowerOn(t *testing.T) {
+	configured := map[string]func() machine.Device{
+		"tty":     func() machine.Device { return machine.NewTTY("tty", 3) },
+		"printer": func() machine.Device { return machine.NewPrinter("lp", 2) },
+		"clock":   func() machine.Device { return machine.NewClock("clk", 4) },
+	}
+	for _, k := range deviceKinds {
+		t.Run(k.name, func(t *testing.T) {
+			fresh, ok := configured[k.name]
+			if !ok {
+				if _, rep := k.fresh().(machine.Replicator); rep {
+					t.Fatalf("%s is replicable", k.name)
+				}
+				return
+			}
+			orig := fresh()
+			k.drive(orig, 5)
+			origState := orig.AppendState(nil)
+			rep := orig.(machine.Replicator).Replicate()
+			want := fresh()
+			if a, b := rep.AppendState(nil), want.AppendState(nil); !slices.Equal(a, b) {
+				t.Fatalf("replica state %v, fresh device %v", a, b)
+			}
+			if rep.Name() != want.Name() || rep.Priority() != want.Priority() || rep.Size() != want.Size() {
+				t.Fatalf("replica is %q prio %d size %d, fresh device %q prio %d size %d",
+					rep.Name(), rep.Priority(), rep.Size(), want.Name(), want.Priority(), want.Size())
+			}
+			// Same configuration: both go on alike from power-on.
+			k.drive(rep, 7)
+			k.drive(want, 7)
+			if a, b := rep.AppendState(nil), want.AppendState(nil); !slices.Equal(a, b) {
+				t.Fatalf("driven replica %v, driven fresh device %v", a, b)
+			}
+
+			// Driving either one leaves the other as it was.
+			k.drive(rep, 9)
+			if st := orig.AppendState(nil); !slices.Equal(st, origState) {
+				t.Fatalf("driving the replica changed the original: %v, was %v", st, origState)
+			}
+			repState := rep.AppendState(nil)
+			k.drive(orig, 9)
+			if st := rep.AppendState(nil); !slices.Equal(st, repState) {
+				t.Fatalf("driving the original changed the replica: %v, was %v", st, repState)
+			}
+		})
+	}
+}
