@@ -4,16 +4,15 @@ package machine
 //
 // Register map:
 //
-//	0 CTL    bit6 interrupt enable; writing bit0 clears the pending latch
+//	0 CTL    bit6 interrupt enable; bit0 reads as the pending request, and
+//	         writing bit0 clears it
 //	1 COUNT  free-running tick counter (low 16 bits, read-only)
 type Clock struct {
-	name     string
+	ident
+	port
 	interval int
 	left     int
 	count    Word
-	ie       bool
-	pend     bool
-	prio     int
 }
 
 // NewClock creates a clock that requests an interrupt every interval ticks.
@@ -21,56 +20,39 @@ func NewClock(name string, interval int) *Clock {
 	if interval < 1 {
 		interval = 1
 	}
-	return &Clock{name: name, interval: interval, left: interval, prio: 6}
+	return &Clock{ident: ident{name, 6}, interval: interval, left: interval}
 }
 
 // Replicate implements Replicator.
 func (c *Clock) Replicate() Device {
-	n := NewClock(c.name, c.interval)
-	n.prio = c.prio
-	return n
+	n := *c
+	n.Reset()
+	return &n
 }
-
-// Name implements Device.
-func (c *Clock) Name() string { return c.name }
 
 // Size implements Device.
 func (c *Clock) Size() int { return 2 }
 
-// Priority implements Device.
-func (c *Clock) Priority() int { return c.prio }
-
 // Reset implements Device.
-func (c *Clock) Reset() {
-	c.left = c.interval
-	c.count = 0
-	c.ie = false
-	c.pend = false
-}
+func (c *Clock) Reset() { *c = Clock{ident: c.ident, interval: c.interval, left: c.interval} }
 
 // ReadReg implements Device.
 func (c *Clock) ReadReg(off int) Word {
 	switch off {
 	case 0:
-		var v Word
-		if c.ie {
-			v |= ttyStatIE
-		}
-		if c.pend {
-			v |= ttyStatReady
-		}
-		return v
+		return c.status(c.pend)
 	case 1:
 		return c.count
 	}
 	return 0
 }
 
-// WriteReg implements Device.
+// WriteReg implements Device. Enabling never requests by itself: the
+// clock is "ready" only while a request is already pending.
 func (c *Clock) WriteReg(off int, v Word) {
 	if off == 0 {
-		c.ie = v&ttyStatIE != 0
-		if v&ttyStatReady != 0 {
+		c.control(v, false)
+		if v&statReady != 0 {
 			c.pend = false
 		}
 	}
@@ -82,17 +64,9 @@ func (c *Clock) Tick() {
 	c.left--
 	if c.left <= 0 {
 		c.left = c.interval
-		if c.ie {
-			c.pend = true
-		}
+		c.raise()
 	}
 }
-
-// Pending implements Device.
-func (c *Clock) Pending() bool { return c.pend }
-
-// Ack implements Device.
-func (c *Clock) Ack() { c.pend = false }
 
 // AppendState implements Device.
 func (c *Clock) AppendState(dst []Word) []Word {

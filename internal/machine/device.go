@@ -48,12 +48,119 @@ func checkStateLen(d Device, ws []Word, want int) error {
 	return nil
 }
 
+// Status register bits common to every device: bit 0 reports the
+// device's ready condition and bit 6 is its read/write interrupt enable.
+const (
+	statReady Word = 1 << 0
+	statIE    Word = 1 << 6
+)
+
+// ident is a device's fixed identity: its name and interrupt priority.
+type ident struct {
+	name string
+	prio int
+}
+
+// Name implements Device.
+func (i ident) Name() string { return i.name }
+
+// Priority implements Device.
+func (i ident) Priority() int { return i.prio }
+
+// port is the DL11-style interrupt logic every device side shares: an
+// enable bit and a request latch. The latch is set when the side becomes
+// ready under an enable (raise) or when interrupts are enabled while it is
+// ready (control), and cleared by Ack. Edge-latching keeps a slow handler
+// from seeing an interrupt storm.
+type port struct {
+	ie   bool
+	pend bool
+}
+
+// status renders the side's status register for the given ready condition.
+func (p *port) status(ready bool) Word {
+	var v Word
+	if ready {
+		v |= statReady
+	}
+	if p.ie {
+		v |= statIE
+	}
+	return v
+}
+
+// control takes the enable bit from a status-register write; enabling a
+// ready side requests an interrupt.
+func (p *port) control(v Word, ready bool) {
+	was := p.ie
+	p.ie = v&statIE != 0
+	if !was && p.ie && ready {
+		p.pend = true
+	}
+}
+
+// raise reports a transition to ready: it requests an interrupt when the
+// side is enabled.
+func (p *port) raise() {
+	if p.ie {
+		p.pend = true
+	}
+}
+
+// Pending implements Device for single-port devices.
+func (p *port) Pending() bool { return p.pend }
+
+// Ack implements Device for single-port devices.
+func (p *port) Ack() { p.pend = false }
+
+// transmitter is an output side, shared by the TTY and the printer: a port
+// that is ready while the transmitter is idle. A word written while it is
+// busy is lost; one written while idle joins the externally observable
+// output history and keeps it busy for rate ticks, after which it raises.
+type transmitter struct {
+	port
+	busy int // ticks until ready again
+	rate int
+	out  []Word // everything transmitted since reset
+}
+
+func (t *transmitter) ready() bool { return t.busy == 0 }
+
+// send transmits v unless the transmitter is busy.
+func (t *transmitter) send(v Word) {
+	if t.busy == 0 {
+		t.out = append(t.out, v)
+		t.busy = t.rate
+	}
+}
+
+func (t *transmitter) tick() {
+	if t.busy > 0 {
+		t.busy--
+		if t.busy == 0 {
+			t.raise()
+		}
+	}
+}
+
+// AppendOutput implements OutputSource.
+func (t *transmitter) AppendOutput(dst []Word) []Word { return append(dst, t.out...) }
+
+// OutputString renders the output history as a byte string.
+func (t *transmitter) OutputString() string {
+	b := make([]byte, len(t.out))
+	for i, w := range t.out {
+		b[i] = byte(w)
+	}
+	return string(b)
+}
+
 // Replicator is implemented by devices that can manufacture a fresh,
 // power-on copy of themselves with the same configuration (name, rates,
 // priority). Replication is what lets a whole machine be cloned for
 // parallel verification: the clone attaches replicas in the original bus
 // order and then restores a Snapshot over them, which carries the dynamic
-// state across. Devices wired to shared environment state (link endpoints)
+// state across. Devices wired to shared environment state (link ends)
 // deliberately do not implement Replicator — a replica could not share the
 // wire without coupling the clone to the original.
 type Replicator interface {

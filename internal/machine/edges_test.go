@@ -173,12 +173,12 @@ func TestLinkDeviceSnapshotRoundTrip(t *testing.T) {
 	tx2, _ := machine.NewLink("w2", 4)
 	tx2.RestoreState(s)
 	if tx2.AppendState(nil)[0] != s[0] {
-		t.Error("LinkTX state did not round-trip")
+		t.Error("sending-end state did not round-trip")
 	}
 	rx.WriteReg(0, 0x40)
 	rs := rx.AppendState(nil)
 	if len(rs) != 3 {
-		t.Errorf("LinkRX snapshot = %v", rs)
+		t.Errorf("receiving-end snapshot = %v", rs)
 	}
 }
 

@@ -483,13 +483,13 @@ func TestLinkTransfersBetweenMachines(t *testing.T) {
 
 	sendProg := asm.MustAssemble(`
 		.org 0x100
-		MOV #0xCAFE, @0xF041   ; LinkTX DATA
+		MOV #0xCAFE, @0xF041   ; sending end DATA
 		HALT
 	`)
 	recvProg := asm.MustAssemble(`
 		.org 0x100
 	wait:
-		MOV @0xF040, R0        ; LinkRX STAT
+		MOV @0xF040, R0        ; receiving end STAT
 		AND #1, R0
 		BEQ wait
 		MOV @0xF041, R1

@@ -8,13 +8,8 @@ package machine
 //	0 STAT  bit0 ready, bit6 interrupt enable
 //	1 DATA  writing prints one byte
 type Printer struct {
-	name string
-	busy int
-	rate int
-	ie   bool
-	pend bool
-	out  []Word
-	prio int
+	ident
+	transmitter
 }
 
 // NewPrinter creates a printer that takes rate ticks per byte.
@@ -22,44 +17,26 @@ func NewPrinter(name string, rate int) *Printer {
 	if rate < 1 {
 		rate = 1
 	}
-	return &Printer{name: name, rate: rate, prio: 4}
+	return &Printer{ident{name, 4}, transmitter{rate: rate}}
 }
 
 // Replicate implements Replicator.
 func (p *Printer) Replicate() Device {
-	n := NewPrinter(p.name, p.rate)
-	n.prio = p.prio
-	return n
+	n := *p
+	n.Reset()
+	return &n
 }
-
-// Name implements Device.
-func (p *Printer) Name() string { return p.name }
 
 // Size implements Device.
 func (p *Printer) Size() int { return 2 }
 
-// Priority implements Device.
-func (p *Printer) Priority() int { return p.prio }
-
 // Reset implements Device.
-func (p *Printer) Reset() {
-	p.busy = 0
-	p.ie = false
-	p.pend = false
-	p.out = nil
-}
+func (p *Printer) Reset() { p.transmitter = transmitter{rate: p.rate} }
 
 // ReadReg implements Device.
 func (p *Printer) ReadReg(off int) Word {
 	if off == 0 {
-		var v Word
-		if p.busy == 0 {
-			v |= ttyStatReady
-		}
-		if p.ie {
-			v |= ttyStatIE
-		}
-		return v
+		return p.status(p.ready())
 	}
 	return 0
 }
@@ -68,46 +45,14 @@ func (p *Printer) ReadReg(off int) Word {
 func (p *Printer) WriteReg(off int, v Word) {
 	switch off {
 	case 0:
-		was := p.ie
-		p.ie = v&ttyStatIE != 0
-		if !was && p.ie && p.busy == 0 {
-			p.pend = true
-		}
+		p.control(v, p.ready())
 	case 1:
-		if p.busy == 0 {
-			p.out = append(p.out, v)
-			p.busy = p.rate
-		}
+		p.send(v)
 	}
 }
 
 // Tick implements Device.
-func (p *Printer) Tick() {
-	if p.busy > 0 {
-		p.busy--
-		if p.busy == 0 && p.ie {
-			p.pend = true
-		}
-	}
-}
-
-// Pending implements Device.
-func (p *Printer) Pending() bool { return p.pend }
-
-// Ack implements Device.
-func (p *Printer) Ack() { p.pend = false }
-
-// AppendOutput implements OutputSource.
-func (p *Printer) AppendOutput(dst []Word) []Word { return append(dst, p.out...) }
-
-// OutputString renders the print stream as a byte string.
-func (p *Printer) OutputString() string {
-	b := make([]byte, len(p.out))
-	for i, w := range p.out {
-		b[i] = byte(w)
-	}
-	return string(b)
-}
+func (p *Printer) Tick() { p.tick() }
 
 // AppendState implements Device.
 func (p *Printer) AppendState(dst []Word) []Word {
