@@ -164,7 +164,9 @@ watch-smoke:
 # its RegisterLeak kernel FAIL; blockstore's server must deny alice's read
 # of bob's slot; both timing-channel systems must PASS separability (the
 # open channel is outside the six conditions, the fixed-slice one is
-# closed). Outputs land in examples-smoke/.
+# closed); seprun's documented multi-program form (flags before the files)
+# must boot two regimes joined by two channels, and the receiver must take
+# words from the sender. Outputs land in examples-smoke/.
 examples-smoke:
 	rm -rf examples-smoke
 	mkdir -p examples-smoke
@@ -176,7 +178,9 @@ examples-smoke:
 	$(GO) run ./examples/timingchannel > examples-smoke/timingchannel.txt
 	grep -q 'Proof of Separability on that system: *PASS' examples-smoke/timingchannel.txt
 	grep -q 'Proof of Separability, fixed slices: *PASS' examples-smoke/timingchannel.txt
-	@echo "examples-smoke: quickstart, blockstore and timing-channel verdicts as expected"
+	$(GO) run ./cmd/seprun -steps 20000 -chan 0:1 -chan 1:0 cmd/seprun/testdata/sender.s cmd/seprun/testdata/receiver.s > examples-smoke/seprun.txt
+	grep -Eq '^r1 +[a-z-]+ +[0-9]+ +[0-9]+ +[0-9]+ +[1-9][0-9]* ' examples-smoke/seprun.txt
+	@echo "examples-smoke: quickstart, blockstore and timing-channel verdicts as expected; seprun multi-program run received"
 
 # Race-detector pass over the concurrent verification engine, the kernel
 # adapter and MiniSUE replicas it sweeps (whose workers share the fold's

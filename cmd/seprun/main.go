@@ -4,9 +4,11 @@
 // receiver joined by one kernel channel). Given assembly files, it boots
 // one regime per file, in argument order, optionally joined by channels:
 //
-//	seprun -steps 20000 red.s black.s -chan 0:1 -chan 1:0
+//	seprun -steps 20000 -chan 0:1 -chan 1:0 red.s black.s
 //
 // Each -chan FROM:TO adds a unidirectional channel between regime indexes.
+// Flags go before the files: an argument after them that looks like a
+// flag is rejected.
 // The kernel ABI prelude (TRAP numbers, device segment addresses) is
 // prepended to every file automatically.
 //
@@ -25,6 +27,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -92,37 +95,59 @@ func demoSpec(spec witness.SystemSpec) witness.SystemSpec {
 	return spec
 }
 
-func main() {
-	steps := flag.Int("steps", 50000, "maximum machine cycles to run")
-	cut := flag.Bool("cut", false, "apply the channel-cutting transformation")
-	itrace := flag.Int("itrace", 0, "print the first N executed instructions")
-	slice := flag.Int("slice", 0, "fixed time slice in cycles (0 = run until SWAP)")
-	tracePath := flag.String("trace", "", "write a kernel event trace to this file")
-	traceFormat := flag.String("trace-format", "jsonl",
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run boots and runs the system args describe and returns the exit code:
+// 0 on a completed run, 1 when the run fails or the kernel dies, 2 on a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("seprun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	steps := fs.Int("steps", 50000, "maximum machine cycles to run")
+	cut := fs.Bool("cut", false, "apply the channel-cutting transformation")
+	itrace := fs.Int("itrace", 0, "print the first N executed instructions")
+	slice := fs.Int("slice", 0, "fixed time slice in cycles (0 = run until SWAP)")
+	tracePath := fs.String("trace", "", "write a kernel event trace to this file")
+	traceFormat := fs.String("trace-format", "jsonl",
 		"trace file format: jsonl (one event per line) or chrome (trace_event for chrome://tracing / Perfetto)")
-	metrics := flag.Bool("metrics", false, "dump kernel activity counters in Prometheus text format after the run")
+	metrics := fs.Bool("metrics", false, "dump kernel activity counters in Prometheus text format after the run")
 	var chans chanFlags
-	flag.Var(&chans, "chan", "add a channel FROM:TO between regime indexes (repeatable)")
-	flag.Parse()
+	fs.Var(&chans, "chan", "add a channel FROM:TO between regime indexes (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	files := fs.Args()
+	for _, a := range files {
+		if strings.HasPrefix(a, "-") {
+			fmt.Fprintf(stderr, "seprun: %s comes after the program files; flags go before the files\n", a)
+			return 2
+		}
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "seprun:", err)
+		return 1
+	}
 
 	// With -trace - the event stream owns stdout; everything else (the
 	// demo banner, the exit report, metrics) moves to stderr so the JSONL
 	// can be piped straight into septrace.
-	out := io.Writer(os.Stdout)
+	out := stdout
 	if *tracePath == "-" {
-		out = os.Stderr
+		out = stderr
 	}
 
 	spec := witness.SystemSpec{Kind: "verifysys", Cut: *cut, FixedSlice: *slice}
-	args := flag.Args()
-	if len(args) == 0 {
+	if len(files) == 0 {
 		spec = demoSpec(spec)
 		fmt.Fprintln(out, "seprun: no programs given; running the built-in sender/receiver demo")
 	} else {
-		for i, path := range args {
+		for i, path := range files {
 			src, err := os.ReadFile(path)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			spec.Regimes = append(spec.Regimes, witness.RegimeSpec{
 				Name: fmt.Sprintf("r%d", i), Source: string(src)})
@@ -130,10 +155,10 @@ func main() {
 		for _, c := range chans {
 			var from, to int
 			if _, err := fmt.Sscanf(c, "%d:%d", &from, &to); err != nil {
-				fatal(fmt.Errorf("bad -chan %q: %w", c, err))
+				return fail(fmt.Errorf("bad -chan %q: %w", c, err))
 			}
-			if from < 0 || from >= len(args) || to < 0 || to >= len(args) {
-				fatal(fmt.Errorf("-chan %q references a missing regime", c))
+			if from < 0 || from >= len(files) || to < 0 || to >= len(files) {
+				return fail(fmt.Errorf("-chan %q references a missing regime", c))
 			}
 			spec.Channels = append(spec.Channels, witness.ChannelSpec{
 				From: spec.Regimes[from].Name, To: spec.Regimes[to].Name, Capacity: 16})
@@ -146,7 +171,7 @@ func main() {
 
 	sys, err := verifysys.FromSpec(spec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	k := sys.K
 	if *itrace > 0 {
@@ -168,12 +193,12 @@ func main() {
 	// the file (flush / close the JSON array) after it.
 	var finishTrace func() error
 	if *tracePath != "" {
-		w := io.Writer(os.Stdout)
+		w := stdout
 		closeFile := func() error { return nil }
 		if *tracePath != "-" {
 			f, err := os.Create(*tracePath)
 			if err != nil {
-				fatal(err)
+				return fail(err)
 			}
 			w, closeFile = f, f.Close
 		}
@@ -197,7 +222,8 @@ func main() {
 				return closeFile()
 			}
 		default:
-			fatal(fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", *traceFormat))
+			closeFile()
+			return fail(fmt.Errorf("unknown -trace-format %q (want jsonl or chrome)", *traceFormat))
 		}
 	}
 
@@ -205,7 +231,7 @@ func main() {
 
 	if finishTrace != nil {
 		if err := finishTrace(); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fmt.Fprintf(out, "trace written to %s (%s)\n", *tracePath, *traceFormat)
 	}
@@ -213,7 +239,7 @@ func main() {
 	fmt.Fprintf(out, "ran %d cycles (%d machine cycles total)\n", n, k.Machine().Cycles())
 	if k.Dead() {
 		fmt.Fprintf(out, "KERNEL DIED: %v\n", k.Cause)
-		os.Exit(1)
+		return 1
 	}
 	exitReport(out, k, names)
 
@@ -223,6 +249,7 @@ func main() {
 		fmt.Fprintln(out, "\nmetrics:")
 		reg.WritePrometheus(out)
 	}
+	return 0
 }
 
 // exitReport prints the per-regime outcome: what each regime did (from the
@@ -257,9 +284,4 @@ func exitReport(out io.Writer, k *kernel.Kernel, names []string) {
 			st.InstrPerRegime[i], st.SyscallPerRegime[i],
 			st.SendPerRegime[i], st.RecvPerRegime[i], exit, w)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "seprun:", err)
-	os.Exit(1)
 }

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/verifysys"
@@ -33,5 +35,44 @@ func TestDemoSpecRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(states[0], states[1]) {
 		t.Error("boot states differ after the round trip")
+	}
+}
+
+// The package comment's multi-program form, flags first: two regimes
+// joined by two channels boot and run, and the receiver takes every word
+// the sender sends.
+func TestRunFlagsFirst(t *testing.T) {
+	var out, errs bytes.Buffer
+	code := run([]string{"-steps", "20000", "-chan", "0:1", "-chan", "1:0",
+		"testdata/sender.s", "testdata/receiver.s"}, &out, &errs)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, errs.String())
+	}
+	var recvs int
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) > 5 && f[0] == "r1" {
+			recvs, _ = strconv.Atoi(f[5])
+		}
+	}
+	if recvs != 10 {
+		t.Fatalf("receiver took %d words, want 10:\n%s", recvs, out.String())
+	}
+}
+
+// Flags after the program files would be read as file names; seprun
+// rejects them with a usage error instead.
+func TestRunFlagsAfterFilesRejected(t *testing.T) {
+	var out, errs bytes.Buffer
+	code := run([]string{"-steps", "20000", "testdata/sender.s", "testdata/receiver.s",
+		"-chan", "0:1", "-chan", "1:0"}, &out, &errs)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
+	}
+	if !strings.Contains(errs.String(), "flags go before the files") {
+		t.Fatalf("stderr does not say where flags go:\n%s", errs.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("a rejected run wrote to stdout:\n%s", out.String())
 	}
 }
