@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify race test bench bench-smoke lint fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke examples-smoke
+.PHONY: verify race test bench bench-smoke lint loc fuzz-smoke trace-smoke witness-smoke flow-smoke fleet-smoke watch-smoke examples-smoke
 
 # CI's fast gates: vet (of this module and of the benchmark module in
 # bench/), gofmt over tracked Go files, build, the repository linter, the
@@ -16,10 +16,17 @@ verify:
 
 # Repository-invariant linter (see internal/lint): obs stays dependency
 # free, raw machine state stays behind the kernel adapter, tracing hooks
-# never mutate.
+# never mutate. The kernel service table the static analyzer models TRAPs
+# by is checked by executing the kernel (internal/kernel TestServiceABI,
+# run by `make test`), not here.
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/seplint .
+
+# Non-test Go lines outside bench/, the size figure ROADMAP.md and
+# CHANGES.md record.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs cat | wc -l
 
 # Short fuzzing pass over every fuzz target: assembler, CFG builder and
 # value-set resolution, delta snapshots, the trace decoder, the shared

@@ -107,6 +107,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if *trials < 1 || *steps < 1 {
+		fmt.Fprintln(stderr, "sepverify: -trials and -steps must be at least 1")
+		return 2
+	}
 
 	systems := registry()
 	if *list {

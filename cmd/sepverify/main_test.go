@@ -190,6 +190,10 @@ func TestUsageErrors(t *testing.T) {
 		{[]string{"-target", "minisue:secure", "-witness-dir", "w"}, []string{"-witness-dir requires a kernel deployment"}},
 		{[]string{"-target", "toy:secure", "-shard", "2/2"}, []string{`bad -shard "2/2" (want 0 <= k < n)`}},
 		{[]string{"-merge"}, []string{"sepverify: -merge needs shard-result files as arguments"}},
+		{[]string{"-target", "honest", "-trials", "-1"}, []string{"-trials and -steps must be at least 1"}},
+		{[]string{"-target", "honest", "-trials", "0"}, []string{"-trials and -steps must be at least 1"}},
+		{[]string{"-target", "honest", "-steps", "-5"}, []string{"-trials and -steps must be at least 1"}},
+		{[]string{"-target", "honest", "-steps", "0"}, []string{"-trials and -steps must be at least 1"}},
 	} {
 		_, stderr := runCLI(t, 2, tc.args...)
 		for _, want := range tc.want {

@@ -129,6 +129,10 @@ func (wf *watchFlags) config(errw io.Writer) (watch.Config, func(), bool) {
 		Metrics: obs.NewRegistry(),
 	}
 	closeLog := func() {}
+	if *wf.trials < 0 || *wf.steps < 0 || *wf.traceSteps < 0 || *wf.shards < 0 {
+		fmt.Fprintln(errw, "sepwatch: -trials, -steps, -tracesteps and -shards must not be negative (0 = default)")
+		return cfg, closeLog, false
+	}
 	if *wf.logPath != "" {
 		f, err := os.OpenFile(*wf.logPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {

@@ -248,6 +248,13 @@ func TestCLIErrors(t *testing.T) {
 	// Exhaustive deployments have no spec to override.
 	runCLI(t, 2, append([]string{"check", "-override-leak", "SharedScratch"},
 		append(fastFlags(dir), "toy-secure")...)...)
+	// A negative verification knob is a usage error; 0 means the default.
+	// Each case gets an empty ledger, so its exit 2 cannot be drift.
+	for _, f := range []string{"-trials", "-steps", "-tracesteps", "-shards"} {
+		t.Run(f, func(t *testing.T) {
+			runCLI(t, 2, append([]string{"check"}, append(fastFlags(t.TempDir()), f, "-1", "honest")...)...)
+		})
+	}
 }
 
 type writerFunc func(p []byte) (int, error)

@@ -1,19 +1,16 @@
 package kernel
 
-// Per-trap kernel-service footprints, exported for tools that model the
-// kernel's behaviour from outside (package staticflow consumes this table to
-// build colour transfer functions for TRAP instructions, and the seplint
-// rule trap-summary-sync holds it in sync with layout.go).
+// The kernel service ABI, stated once. services is indexed by service code
+// and is what TrapName, the service lines of Prelude and FootprintFor read;
+// package staticflow builds its colour transfer functions for TRAP
+// instructions from FootprintFor. TestServiceABI holds every entry to what
+// the kernel does: it traps into a booted kernel and checks each claim
+// against the caller's registers and the channel afterwards.
 //
-// A footprint is written against the CALLING regime: the save-area slot
-// offsets are relative to SaveBase(i) for the caller i, so the colour of
-// every slot named here is the caller's own colour — the table is
-// regime-indexed by construction, never a join over all regimes. The slots
-// are taken from the service paths in kernel.go: every service enters
-// through saveCurrent (which writes the caller's R0..R5, SP, PC and PSW
-// slots) and leaves through resume (which reads them back), so those base
-// slots appear in every footprint; the per-service extras are the slots the
-// service switch itself touches.
+// A footprint is written against the CALLING regime. Every service enters
+// through saveCurrent and leaves through resume, so the caller's registers
+// ride across the trap through its own save area; the footprint names only
+// the registers the service writes on the way and the channel endpoints.
 
 // RegEffect classifies what a kernel-written register value reveals to the
 // calling regime.
@@ -41,23 +38,14 @@ type RegWrite struct {
 	Effect RegEffect
 }
 
-// TrapFootprint is the read/write footprint of one kernel service.
+// TrapFootprint is what one kernel service does to its caller's registers.
 type TrapFootprint struct {
-	Code Word
+	// Name is the service's assembler-prelude mnemonic.
 	Name string
 
-	// ReadRegs are the caller registers the service consumes as arguments
-	// (their colour reaches kernel data, never another regime's view).
-	ReadRegs []int
 	// WriteRegs are the caller registers the service writes on return; all
-	// other registers ride across the trap unchanged (saved and restored
-	// through the caller's own save area).
+	// other registers ride across the trap unchanged.
 	WriteRegs []RegWrite
-
-	// SaveReads and SaveWrites are save-area slot offsets (relative to the
-	// caller's SaveBase) the service path reads and writes.
-	SaveReads  []Word
-	SaveWrites []Word
 
 	// ChanOutReg is the caller register whose value leaves through a
 	// configured channel (-1: none) — the SEND endpoint X1. ChanInReg is
@@ -65,110 +53,55 @@ type TrapFootprint struct {
 	// endpoint X2.
 	ChanOutReg int
 	ChanInReg  int
-
-	// Sched reports that the service may hand the CPU to another regime,
-	// touching the kernel's scheduling variable (SchedCurrentAddr).
-	Sched bool
 }
 
-// saveBaseSlots are the slots every service touches: saveCurrent writes the
-// caller's registers and trap frame on entry, resume reads them back on the
-// way out.
-func saveBaseSlots() []Word {
-	return []Word{
-		saveR0, saveR0 + 1, saveR0 + 2, saveR0 + 3, saveR0 + 4, saveR0 + 5,
-		saveSP, savePC, savePSW,
+// services is the ABI table, indexed by service code. An unknown code is
+// not a service: the kernel writes 0xFFFF into R0 and resumes the caller.
+var services = [...]TrapFootprint{
+	TrapSwap: {Name: "SWAP", ChanOutReg: -1, ChanInReg: -1},
+	TrapSend: {Name: "SEND", ChanOutReg: 1, ChanInReg: -1,
+		WriteRegs: []RegWrite{{0, EffKernelOwn}}},
+	TrapRecv: {Name: "RECV", ChanOutReg: -1, ChanInReg: 1,
+		WriteRegs: []RegWrite{{0, EffKernelOwn}, {1, EffChannelIn}}},
+	TrapIRQOn:  {Name: "IRQON", ChanOutReg: -1, ChanInReg: -1},
+	TrapIRQOff: {Name: "IRQOFF", ChanOutReg: -1, ChanInReg: -1},
+	TrapPoll: {Name: "POLL", ChanOutReg: -1, ChanInReg: -1,
+		WriteRegs: []RegWrite{{0, EffKernelOwn}, {1, EffKernelOwn}}},
+	TrapHalt:    {Name: "HALTME", ChanOutReg: -1, ChanInReg: -1},
+	TrapWaitIRQ: {Name: "WAITIRQ", ChanOutReg: -1, ChanInReg: -1},
+	TrapID: {Name: "WHOAMI", ChanOutReg: -1, ChanInReg: -1,
+		WriteRegs: []RegWrite{{0, EffConfig}}},
+}
+
+// TrapName returns the assembler-prelude mnemonic for a kernel service
+// code ("SWAP", "SEND", ...), or "TRAP#n" for unknown codes.
+func TrapName(code Word) string {
+	if int(code) < len(services) {
+		return services[code].Name
 	}
+	return "TRAP#" + itoa(code)
 }
 
-func withSlots(extra ...Word) []Word { return append(saveBaseSlots(), extra...) }
-
-// Footprints returns one TrapFootprint per kernel service, in service-code
-// order. The slice is freshly built on each call; callers may mutate it.
-func Footprints() []TrapFootprint {
-	return []TrapFootprint{
-		{
-			Code: TrapSwap, Name: TrapName(TrapSwap),
-			// scheduleNext reads every regime's run state and pending word,
-			// but only the caller's slots are part of the caller's footprint;
-			// the decision itself is the scheduling variable changing hands.
-			SaveReads:  withSlots(saveState, savePending),
-			SaveWrites: saveBaseSlots(),
-			ChanOutReg: -1, ChanInReg: -1,
-			Sched: true,
-		},
-		{
-			Code: TrapSend, Name: TrapName(TrapSend),
-			ReadRegs:   []int{0, 1},
-			WriteRegs:  []RegWrite{{Reg: 0, Effect: EffKernelOwn}},
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: saveBaseSlots(),
-			ChanOutReg: 1, ChanInReg: -1,
-		},
-		{
-			Code: TrapRecv, Name: TrapName(TrapRecv),
-			ReadRegs: []int{0},
-			WriteRegs: []RegWrite{
-				{Reg: 0, Effect: EffKernelOwn},
-				{Reg: 1, Effect: EffChannelIn},
-			},
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: saveBaseSlots(),
-			ChanOutReg: -1, ChanInReg: 1,
-		},
-		{
-			Code: TrapIRQOn, Name: TrapName(TrapIRQOn),
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: withSlots(saveIPL),
-			ChanOutReg: -1, ChanInReg: -1,
-		},
-		{
-			Code: TrapIRQOff, Name: TrapName(TrapIRQOff),
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: withSlots(saveIPL),
-			ChanOutReg: -1, ChanInReg: -1,
-		},
-		{
-			Code: TrapPoll, Name: TrapName(TrapPoll),
-			ReadRegs: []int{0},
-			WriteRegs: []RegWrite{
-				{Reg: 0, Effect: EffKernelOwn},
-				{Reg: 1, Effect: EffKernelOwn},
-			},
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: saveBaseSlots(),
-			ChanOutReg: -1, ChanInReg: -1,
-		},
-		{
-			Code: TrapHalt, Name: TrapName(TrapHalt),
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: withSlots(saveState),
-			ChanOutReg: -1, ChanInReg: -1,
-			Sched: true,
-		},
-		{
-			Code: TrapWaitIRQ, Name: TrapName(TrapWaitIRQ),
-			SaveReads:  withSlots(savePending),
-			SaveWrites: withSlots(saveState),
-			ChanOutReg: -1, ChanInReg: -1,
-			Sched: true,
-		},
-		{
-			Code: TrapID, Name: TrapName(TrapID),
-			WriteRegs:  []RegWrite{{Reg: 0, Effect: EffConfig}},
-			SaveReads:  saveBaseSlots(),
-			SaveWrites: saveBaseSlots(),
-			ChanOutReg: -1, ChanInReg: -1,
-		},
+// itoa formats a small word without pulling fmt into the hot path.
+func itoa(w Word) string {
+	if w == 0 {
+		return "0"
 	}
+	var buf [8]byte
+	i := len(buf)
+	for w > 0 {
+		i--
+		buf[i] = byte('0' + w%10)
+		w /= 10
+	}
+	return string(buf[i:])
 }
 
-// FootprintFor returns the footprint of a service code.
+// FootprintFor returns the footprint of a service code. The WriteRegs
+// slice is the table's own; callers must not modify it.
 func FootprintFor(code Word) (TrapFootprint, bool) {
-	for _, fp := range Footprints() {
-		if fp.Code == code {
-			return fp, true
-		}
+	if int(code) < len(services) {
+		return services[code], true
 	}
 	return TrapFootprint{}, false
 }

@@ -19,7 +19,12 @@
 // of the paper's model.
 package kernel
 
-import "repro/internal/machine"
+import (
+	"fmt"
+	"strings"
+
+	"repro/internal/machine"
+)
 
 // Word aliases the machine word.
 type Word = machine.Word
@@ -128,47 +133,6 @@ const (
 	TrapID Word = 8
 )
 
-// TrapName returns the assembler-prelude mnemonic for a kernel service
-// code ("SWAP", "SEND", ...), or "TRAP#n" for unknown codes.
-func TrapName(code Word) string {
-	switch code {
-	case TrapSwap:
-		return "SWAP"
-	case TrapSend:
-		return "SEND"
-	case TrapRecv:
-		return "RECV"
-	case TrapIRQOn:
-		return "IRQON"
-	case TrapIRQOff:
-		return "IRQOFF"
-	case TrapPoll:
-		return "POLL"
-	case TrapHalt:
-		return "HALTME"
-	case TrapWaitIRQ:
-		return "WAITIRQ"
-	case TrapID:
-		return "WHOAMI"
-	}
-	return "TRAP#" + itoa(code)
-}
-
-// itoa formats a small word without pulling fmt into the hot path.
-func itoa(w Word) string {
-	if w == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for w > 0 {
-		i--
-		buf[i] = byte('0' + w%10)
-		w /= 10
-	}
-	return string(buf[i:])
-}
-
 // Regime virtual address space conventions.
 const (
 	// RegimeVecBase is the virtual address of the regime's interrupt
@@ -191,23 +155,24 @@ func DeviceVirtBase(j int) Word {
 }
 
 // Prelude is an assembler prelude defining the kernel ABI for regime
-// programs; prepend it to program source.
-const Prelude = `
-	.equ SWAP,   0
-	.equ SEND,   1
-	.equ RECV,   2
-	.equ IRQON,  3
-	.equ IRQOFF, 4
-	.equ POLL,   5
-	.equ HALTME, 6
-	.equ WAITIRQ,7
-	.equ WHOAMI, 8
-	.equ VECBASE, 0x0010
+// programs; prepend it to program source. Its service lines are rendered
+// from the services table.
+var Prelude = prelude()
+
+func prelude() string {
+	var b strings.Builder
+	b.WriteString("\n")
+	for code, s := range services {
+		fmt.Fprintf(&b, "\t.equ %-8s%d\n", s.Name+",", code)
+	}
+	b.WriteString(`	.equ VECBASE, 0x0010
 	.equ DEV0, 0x8000
 	.equ DEV1, 0x9000
 	.equ DEV2, 0xA000
 	.equ DEV3, 0xB000
-`
+`)
+	return b.String()
+}
 
 func saveBase(i int) Word { return KData + kdSaves + Word(i)*saveStride }
 
@@ -222,9 +187,6 @@ func SaveBase(i int) Word { return saveBase(i) }
 
 // Save-area slot offsets and stride, relative to SaveBase(i).
 const (
-	SaveOffR0      = saveR0      // R0..R5 at SaveOffR0..SaveOffR0+5
-	SaveOffSP      = saveSP      // saved stack pointer
-	SaveOffPC      = savePC      // saved program counter
 	SaveOffPSW     = savePSW     // saved processor status word
 	SaveOffPending = savePending // pending-interrupt bitmask
 	SaveAreaStride = saveStride

@@ -1,6 +1,6 @@
 // Package lint enforces the repository's security-architecture invariants
 // over the Go sources themselves — the repo-level analogue of what package
-// staticflow does to machine programs. Six rules, all purely syntactic
+// staticflow does to machine programs. Five rules, all purely syntactic
 // (go/ast, no external dependencies):
 //
 //   - obs-zero-dep: internal/obs is the observability layer every subsystem
@@ -31,20 +31,16 @@
 //     Observation must not perturb the modelled system — the property that
 //     keeps verification results valid with tracing enabled.
 //
-//   - trap-summary-sync: the per-trap footprint table
-//     (internal/kernel/footprint.go) is how the static analyzer models
-//     kernel services, so it must track the kernel's real save-area layout.
-//     Every save-area slot constant declared in layout.go (save*, except the
-//     stride) and every Trap* service code must be referenced by name in
-//     footprint.go — a slot or service added to the layout without a
-//     footprint entry would silently widen the gap between the modelled and
-//     the actual kernel.
-//
 //   - artifact-io: witness, shard and ledger evidence is sealed, hashed and
 //     written by internal/artifact alone, so the ID rule and the
 //     one-rename write rule have one implementation. os.CreateTemp and
 //     os.Rename may appear only there, and crypto/sha256 may be imported
 //     only there and by internal/auth, which hashes for other reasons.
+//
+// The kernel service table the static analyzer models TRAPs by is not
+// checked here: a syntactic rule could check only that the table names the
+// kernel's layout constants, so internal/kernel's TestServiceABI checks it
+// by trapping into a booted kernel instead.
 package lint
 
 import (
@@ -111,7 +107,6 @@ var sha256Allowed = map[string]bool{
 func Run(root string) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	fset := token.NewFileSet()
-	sync := &trapSync{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -130,22 +125,19 @@ func Run(root string) ([]Diagnostic, error) {
 		if err != nil {
 			return err
 		}
-		ds, err := lintFile(fset, path, filepath.ToSlash(filepath.Dir(rel)), sync)
+		ds, err := lintFile(fset, path, filepath.ToSlash(filepath.Dir(rel)))
 		if err != nil {
 			return err
 		}
 		diags = append(diags, ds...)
 		return nil
 	})
-	if err != nil {
-		return diags, err
-	}
-	return append(diags, sync.check(fset)...), nil
+	return diags, err
 }
 
 // lintFile lints one file; dir is the slash-separated package directory
 // relative to the repository root ("internal/obs", "cmd/sepflow", ...).
-func lintFile(fset *token.FileSet, path, dir string, sync *trapSync) ([]Diagnostic, error) {
+func lintFile(fset *token.FileSet, path, dir string) ([]Diagnostic, error) {
 	f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
@@ -170,14 +162,6 @@ func lintFile(fset *token.FileSet, path, dir string, sync *trapSync) ([]Diagnost
 	}
 	if !isTest {
 		l.checkArtifactIO(f, dir)
-	}
-	if sync != nil && dir == "internal/kernel" {
-		switch filepath.Base(path) {
-		case "layout.go":
-			sync.collectLayout(f)
-		case "footprint.go":
-			sync.collectFootprint(f)
-		}
 	}
 	return l.diags, nil
 }
@@ -408,104 +392,6 @@ func (l *linter) walkStmt(stmt ast.Stmt, recv string, hooked bool) {
 		}
 		return true
 	})
-}
-
-// trapSync accumulates the cross-file state for trap-summary-sync: the
-// save-area slot and service-code constants declared in
-// internal/kernel/layout.go, and every identifier referenced in
-// internal/kernel/footprint.go.
-type trapSync struct {
-	// required maps each layout constant the footprint table must cover to
-	// its declaration position.
-	required map[string]token.Pos
-	// order preserves declaration order for deterministic diagnostics.
-	order []string
-	// footprintIdents is every identifier appearing in footprint.go.
-	footprintIdents map[string]bool
-	sawLayout       bool
-	sawFootprint    bool
-}
-
-// syncExempt are layout constants the footprint table legitimately never
-// names: the stride is a sizing constant, not a slot.
-var syncExempt = map[string]bool{"saveStride": true}
-
-// collectLayout records the save-slot (save*) and service-code (Trap*)
-// constants declared in layout.go.
-func (s *trapSync) collectLayout(f *ast.File) {
-	s.sawLayout = true
-	if s.required == nil {
-		s.required = map[string]token.Pos{}
-	}
-	for _, decl := range f.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			continue
-		}
-		for _, spec := range gd.Specs {
-			vs, ok := spec.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				n := name.Name
-				if syncExempt[n] {
-					continue
-				}
-				if strings.HasPrefix(n, "save") || strings.HasPrefix(n, "Trap") {
-					if _, dup := s.required[n]; !dup {
-						s.required[n] = name.Pos()
-						s.order = append(s.order, n)
-					}
-				}
-			}
-		}
-	}
-}
-
-// collectFootprint records every identifier footprint.go mentions.
-func (s *trapSync) collectFootprint(f *ast.File) {
-	s.sawFootprint = true
-	if s.footprintIdents == nil {
-		s.footprintIdents = map[string]bool{}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			s.footprintIdents[id.Name] = true
-		}
-		return true
-	})
-}
-
-// check emits one diagnostic per layout constant the footprint table fails
-// to reference. Linting a tree that contains neither file is fine (rule
-// inapplicable); a layout without a footprint table is one diagnostic.
-func (s *trapSync) check(fset *token.FileSet) []Diagnostic {
-	if !s.sawLayout {
-		return nil
-	}
-	var diags []Diagnostic
-	if !s.sawFootprint {
-		var pos token.Pos
-		if len(s.order) > 0 {
-			pos = s.required[s.order[0]]
-		}
-		return append(diags, Diagnostic{
-			Pos:  fset.Position(pos),
-			Rule: "trap-summary-sync",
-			Msg:  "internal/kernel/layout.go declares trap and save-area constants but footprint.go is missing: the static analyzer's kernel model has nothing to stay in sync with",
-		})
-	}
-	for _, n := range s.order {
-		if !s.footprintIdents[n] {
-			diags = append(diags, Diagnostic{
-				Pos:  fset.Position(s.required[n]),
-				Rule: "trap-summary-sync",
-				Msg:  fmt.Sprintf("%s is declared in the kernel layout but never referenced by the trap footprint table (footprint.go); add it to the relevant TrapFootprint so the static analyzer models it", n),
-			})
-		}
-	}
-	return diags
 }
 
 // rootedAtRecv reports whether expr is a selector chain rooted at the

@@ -227,54 +227,6 @@ var _ = sha256.Sum256
 
 // TestRepositoryClean is the invariant itself: the real tree has zero
 // violations. If this fails, the code — not the linter — regressed.
-// A save slot or service code declared in the layout but absent from the
-// footprint table is flagged; the stride sizing constant is exempt.
-func TestTrapSummarySync(t *testing.T) {
-	root := t.TempDir()
-	write(t, root, "internal/kernel/layout.go", `package kernel
-type Word uint16
-const (
-	saveR0     Word = 0
-	saveGhost  Word = 12
-	saveStride Word = 16
-	TrapSwap   Word = 0
-	TrapGhost  Word = 9
-)
-`)
-	write(t, root, "internal/kernel/footprint.go", `package kernel
-var slots = []Word{saveR0}
-var codes = []Word{TrapSwap}
-`)
-	diags := runLint(t, root)
-	var missing []string
-	for _, d := range diags {
-		if d.Rule != "trap-summary-sync" {
-			t.Errorf("unexpected rule %s", d.Rule)
-			continue
-		}
-		for _, name := range []string{"saveGhost", "TrapGhost", "saveStride", "saveR0", "TrapSwap"} {
-			if strings.Contains(d.Msg, name) {
-				missing = append(missing, name)
-			}
-		}
-	}
-	if strings.Join(missing, ",") != "saveGhost,TrapGhost" {
-		t.Errorf("flagged constants = %v, want [saveGhost TrapGhost]; diags: %v", missing, diags)
-	}
-
-	// A layout with no footprint table at all is one diagnostic.
-	root2 := t.TempDir()
-	write(t, root2, "internal/kernel/layout.go", `package kernel
-type Word uint16
-const saveR0 Word = 0
-`)
-	diags2 := runLint(t, root2)
-	if len(diags2) != 1 || diags2[0].Rule != "trap-summary-sync" ||
-		!strings.Contains(diags2[0].Msg, "footprint.go is missing") {
-		t.Errorf("diags = %v, want one missing-footprint diagnostic", diags2)
-	}
-}
-
 func TestRepositoryClean(t *testing.T) {
 	diags := runLint(t, filepath.Join("..", ".."))
 	for _, d := range diags {

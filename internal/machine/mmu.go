@@ -58,12 +58,10 @@ func SegCtlAccess(ctl Word) int { return int(ctl>>segAccessShift) & 3 }
 
 // MMU abort reasons, latched in the MMU status register.
 const (
-	MMUOK          = 0
-	MMUNoAccess    = 1 // segment access code is AccessNone
-	MMUReadOnly    = 2 // write to a read-only segment
-	MMULimit       = 3 // offset beyond the segment limit
-	MMUBusTimeout  = 4 // translated address hits no RAM and no device
-	MMUKernelWrite = 5 // user-mode write routed into a protected I/O register
+	MMUNoAccess   = 1 // segment access code is AccessNone
+	MMUReadOnly   = 2 // write to a read-only segment
+	MMULimit      = 3 // offset beyond the segment limit
+	MMUBusTimeout = 4 // translated address hits no RAM and no device
 )
 
 // mmu holds the translation state for user mode.

@@ -9,13 +9,13 @@ import (
 
 // Kernel-service summaries. TRAP instructions used to be coloured by a
 // fixed ABI switch written by hand inside the analyzer; this file derives
-// the same transfer functions from the footprint table the kernel itself
-// exports (kernel.Footprints(), held in sync with layout.go by the seplint
-// trap-summary-sync rule). Each service's summary is regime-indexed by
-// construction: the save-area slots a service reads and writes are the
-// *calling* regime's slots at its own SaveBase, so a trap never joins
-// colours across regimes — the registers that ride across do so unchanged,
-// saved into and restored from the caller's own area.
+// the same transfer functions from the service table the kernel itself
+// exports (kernel.FootprintFor, which the kernel's TestServiceABI holds to
+// what the kernel does by trapping into it). A summary names only the
+// caller registers the service writes and its channel endpoints; every
+// other register rides across the trap unchanged, saved into and restored
+// from the caller's own save area, so a trap never joins colours across
+// regimes.
 //
 // The register effects map onto the analyzer's lattice as:
 //
