@@ -170,3 +170,91 @@ func checkService(t *testing.T, c abiCase, images [2]*asm.Image) (sent, recvd in
 	}
 	return sent, recvd
 }
+
+// Every kernel service code must have exactly one footprint, under its
+// canonical name, and no code past the last service may have one.
+func TestFootprintsCoverAllServices(t *testing.T) {
+	names := map[string]Word{}
+	for code := TrapSwap; code <= TrapID; code++ {
+		fp, ok := FootprintFor(code)
+		if !ok {
+			t.Errorf("no footprint for service %s (code %d)", TrapName(code), code)
+			continue
+		}
+		if fp.Name == "" || fp.Name != TrapName(code) {
+			t.Errorf("footprint %d named %q, want %q", code, fp.Name, TrapName(code))
+		}
+		if prev, dup := names[fp.Name]; dup {
+			t.Errorf("codes %d and %d share the name %q", prev, code, fp.Name)
+		}
+		names[fp.Name] = code
+	}
+	if len(services) != int(TrapID)+1 {
+		t.Errorf("services has %d entries, want %d", len(services), int(TrapID)+1)
+	}
+	for _, code := range []Word{TrapID + 1, 0xFF, 0x3FF} {
+		if _, ok := FootprintFor(code); ok {
+			t.Errorf("FootprintFor(%d) = ok, want miss", code)
+		}
+		if got, want := TrapName(code), "TRAP#"+itoa(code); got != want {
+			t.Errorf("TrapName(%d) = %q, want %q", code, got, want)
+		}
+	}
+}
+
+// The footprints must agree with the service implementations on the facts
+// the static analyzer relies on: which registers each service writes, with
+// which effect, and which services are channel endpoints.
+func TestFootprintRegisterEffects(t *testing.T) {
+	writes := func(code Word) map[int]RegEffect {
+		fp, ok := FootprintFor(code)
+		if !ok {
+			t.Fatalf("no footprint for code %d", code)
+		}
+		m := map[int]RegEffect{}
+		for _, w := range fp.WriteRegs {
+			if _, dup := m[w.Reg]; dup {
+				t.Errorf("%s writes R%d twice", fp.Name, w.Reg)
+			}
+			m[w.Reg] = w.Effect
+		}
+		return m
+	}
+
+	// syscall(): TrapSend writes R0 (status); TrapRecv writes R0 and R1;
+	// TrapPoll writes R0 and R1; TrapID writes R0 from the static regime
+	// index; the yielding services write no registers at all.
+	if w := writes(TrapSend); len(w) != 1 || w[0] != EffKernelOwn {
+		t.Errorf("SEND writes = %v, want {R0: kernel-own}", w)
+	}
+	if w := writes(TrapRecv); len(w) != 2 || w[0] != EffKernelOwn || w[1] != EffChannelIn {
+		t.Errorf("RECV writes = %v, want {R0: kernel-own, R1: channel-in}", w)
+	}
+	if w := writes(TrapPoll); len(w) != 2 || w[0] != EffKernelOwn || w[1] != EffKernelOwn {
+		t.Errorf("POLL writes = %v, want {R0,R1: kernel-own}", w)
+	}
+	if w := writes(TrapID); len(w) != 1 || w[0] != EffConfig {
+		t.Errorf("WHOAMI writes = %v, want {R0: config}", w)
+	}
+	for _, code := range []Word{TrapSwap, TrapIRQOn, TrapIRQOff, TrapHalt, TrapWaitIRQ} {
+		if w := writes(code); len(w) != 0 {
+			t.Errorf("%s writes registers %v; the implementation writes none", TrapName(code), w)
+		}
+	}
+
+	// Channel endpoints: exactly SEND exports R1 and RECV imports into R1.
+	for code := TrapSwap; code <= TrapID; code++ {
+		fp, _ := FootprintFor(code)
+		wantOut, wantIn := -1, -1
+		switch code {
+		case TrapSend:
+			wantOut = 1
+		case TrapRecv:
+			wantIn = 1
+		}
+		if fp.ChanOutReg != wantOut || fp.ChanInReg != wantIn {
+			t.Errorf("%s channel regs out=%d in=%d, want out=%d in=%d",
+				fp.Name, fp.ChanOutReg, fp.ChanInReg, wantOut, wantIn)
+		}
+	}
+}
