@@ -108,8 +108,10 @@ flow-smoke:
 # SIGKILL shard 0's worker once its checkpoint shows 3 folded chunks, and
 # assert the coordinator restarted it, the replacement RESUMED from the
 # checkpoint rather than starting over, and the merged fleet verdict is
-# byte-identical to the direct run. Artifacts land in fleet-smoke/ for CI
-# upload.
+# byte-identical to the direct run. Each shard leaves one file, its
+# checkpoint and then its result: the work dir holds exactly one
+# shard-*.json per shard, and `sepverify -merge` over them prints the
+# direct verdict too. Artifacts land in fleet-smoke/ for CI upload.
 fleet-smoke:
 	rm -rf fleet-smoke
 	mkdir -p fleet-smoke/bin
@@ -125,7 +127,11 @@ fleet-smoke:
 	head -1 fleet-smoke/direct.txt > fleet-smoke/direct-verdict.txt
 	head -1 fleet-smoke/fleet.txt > fleet-smoke/fleet-verdict.txt
 	diff fleet-smoke/direct-verdict.txt fleet-smoke/fleet-verdict.txt
-	@echo "fleet-smoke: worker killed, resumed from checkpoint, merged verdict matches direct run"
+	test "$$(ls fleet-smoke/work/shard-*.json | wc -l)" -eq 2
+	fleet-smoke/bin/sepverify -merge fleet-smoke/work/shard-*.json > fleet-smoke/merge.txt
+	head -1 fleet-smoke/merge.txt > fleet-smoke/merge-verdict.txt
+	diff fleet-smoke/direct-verdict.txt fleet-smoke/merge-verdict.txt
+	@echo "fleet-smoke: worker killed, resumed from its shard file, merged verdict matches direct run"
 
 # Continuous-verification smoke (E19): three sepwatch builds of the
 # "honest" deployment. Build 2 re-verifies the unchanged deployment — the

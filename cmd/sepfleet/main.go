@@ -4,13 +4,14 @@
 //	sepfleet -target minisue:register-leak -shards 4
 //
 // The coordinator computes the deterministic chunk partition for the
-// target, spawns one `sepverify -target T -shard k/n` process
-// per shard (each writing a content-addressed shard-result file and a
-// resumable checkpoint), watches the checkpoint files for progress, and
-// restarts any worker that dies — the replacement resumes from the dead
-// worker's checkpoint instead of starting over. When every shard has
-// finished, the shard files are merged into the combined verdict, which is
-// identical to a single unsharded run.
+// target, spawns one `sepverify -target T -shard k/n -checkpoint
+// shard-k.json` process per shard, polls each shard's file for progress,
+// and restarts any worker that dies — the replacement resumes from the dead
+// worker's file instead of starting over. A shard's file is its one
+// content-addressed record: partial while the worker sweeps, the shard
+// result once it finishes. When every shard has finished, the shard files
+// are merged into the combined verdict, which is identical to a single
+// unsharded run.
 //
 // Observability and fault injection:
 //
@@ -27,8 +28,11 @@
 package main
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -43,59 +47,67 @@ import (
 	"repro/internal/verifysys"
 )
 
-func main() {
-	os.Exit(realMain())
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func realMain() int {
-	target := flag.String("target", "", "registered exhaustive target to sweep (required; see sepverify -list)")
-	shards := flag.Int("shards", 2, "worker processes / shards to partition the sweep across")
-	workers := flag.Int("workers", 0, "checker goroutines per worker process (0 = one per core)")
-	dir := flag.String("dir", "", "directory for shard artifacts, checkpoints and worker logs (default: a fresh temp dir)")
-	sepverifyFlag := flag.String("sepverify", "", "sepverify binary to spawn (default: next to this binary, then $PATH)")
-	listen := flag.String("listen", "", "serve live fleet counters at http://ADDR/metrics (e.g. :9090)")
-	poll := flag.Duration("poll", 200*time.Millisecond, "checkpoint poll interval")
-	stall := flag.Duration("stall", 0, "kill and restart a worker whose checkpoint frontier stalls this long (0 = never)")
-	maxRestarts := flag.Int("max-restarts", 3, "restarts allowed per shard before the fleet gives up")
-	maxViolations := flag.Int("max-violations", 8, "counterexamples collected per condition")
-	ckEvery := flag.Int("checkpoint-every", 0, "worker checkpoint cadence in folded chunks (0 = worker default)")
-	throttle := flag.Duration("throttle", 0, "per-chunk delay passed to workers (demo/test lever)")
-	killOnce := flag.String("kill-once", "",
+// run carries the whole run so deferred cleanup (the metrics listener)
+// executes before the process exits.
+func run(args []string, stdout, stderr io.Writer) int {
+	f := &fleet{stderr: stderr, reg: obs.NewRegistry()}
+	fs := flag.NewFlagSet("sepfleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&f.target, "target", "", "registered exhaustive target to sweep (required; see sepverify -list)")
+	fs.IntVar(&f.shards, "shards", 2, "worker processes / shards to partition the sweep across")
+	fs.IntVar(&f.workers, "workers", 0, "checker goroutines per worker process (0 = one per core)")
+	fs.StringVar(&f.dir, "dir", "", "directory for shard files and worker logs (default: a fresh temp dir)")
+	sepverifyFlag := fs.String("sepverify", "", "sepverify binary to spawn (default: next to this binary, then $PATH)")
+	listen := fs.String("listen", "", "serve live fleet counters at http://ADDR/metrics (e.g. :9090)")
+	fs.DurationVar(&f.poll, "poll", 200*time.Millisecond, "shard file poll interval (> 0)")
+	fs.DurationVar(&f.stall, "stall", 0, "kill and restart a worker whose checkpoint frontier stalls this long (0 = never)")
+	fs.IntVar(&f.maxRestarts, "max-restarts", 3, "restarts allowed per shard before the fleet gives up")
+	fs.IntVar(&f.maxViolations, "max-violations", 8, "counterexamples collected per condition")
+	fs.IntVar(&f.ckEvery, "checkpoint-every", 0, "worker checkpoint cadence in folded chunks (0 = worker default)")
+	fs.DurationVar(&f.throttle, "throttle", 0, "per-chunk delay passed to workers (demo/test lever)")
+	killOnce := fs.String("kill-once", "",
 		"K@F: SIGKILL shard K's worker once its checkpoint shows F folded chunks (fault-injection demo)")
-	flag.Parse()
-
-	if *target == "" {
-		fmt.Fprintln(os.Stderr, "sepfleet: -target is required")
-		return 2
-	}
-	t, err := verifysys.FindExhaustiveTarget(*target)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepfleet:", err)
-		return 2
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "sepfleet: -shards must be >= 1")
-		return 2
-	}
-	killShard, killAfter, err := parseKillOnce(*killOnce)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepfleet:", err)
-		return 2
-	}
-	bin, err := findSepverify(*sepverifyFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepfleet: cannot locate sepverify binary:", err)
-		return 2
-	}
-	workDir := *dir
-	if workDir == "" {
-		workDir, err = os.MkdirTemp("", "sepfleet-")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepfleet:", err)
-			return 2
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	} else if err := os.MkdirAll(workDir, 0o755); err != nil {
-		fmt.Fprintln(os.Stderr, "sepfleet:", err)
+		return 2
+	}
+
+	if f.target == "" {
+		fmt.Fprintln(stderr, "sepfleet: -target is required")
+		return 2
+	}
+	t, err := verifysys.FindExhaustiveTarget(f.target)
+	if err != nil {
+		fmt.Fprintln(stderr, "sepfleet:", err)
+		return 2
+	}
+	if f.shards < 1 {
+		fmt.Fprintln(stderr, "sepfleet: -shards must be >= 1")
+		return 2
+	}
+	if f.poll <= 0 {
+		fmt.Fprintln(stderr, "sepfleet: -poll must be positive")
+		return 2
+	}
+	if f.killShard, f.killAfter, err = parseKillOnce(*killOnce); err != nil {
+		fmt.Fprintln(stderr, "sepfleet:", err)
+		return 2
+	}
+	if f.bin, err = findSepverify(*sepverifyFlag); err != nil {
+		fmt.Fprintln(stderr, "sepfleet: cannot locate sepverify binary:", err)
+		return 2
+	}
+	if f.dir == "" {
+		f.dir, err = os.MkdirTemp("", "sepfleet-")
+	} else {
+		err = os.MkdirAll(f.dir, 0o755)
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "sepfleet:", err)
 		return 2
 	}
 
@@ -103,33 +115,24 @@ func realMain() int {
 	// enumerating the target once: per-shard chunk ranges give resumed-aware
 	// progress accounting and an ETA without any worker cooperation.
 	sys := t.Build()
-	part := separability.ShardParams{Shards: *shards, ChunkSize: separability.DefaultChunkSize}
-	sys.EnumerateStates(func(model.StateRef) bool { part.States++; return true })
-	sys.EnumerateInputs(func(model.Input) bool { part.Inputs++; return true })
+	f.part = separability.ShardParams{Shards: f.shards, ChunkSize: separability.DefaultChunkSize}
+	sys.EnumerateStates(func(model.StateRef) bool { f.part.States++; return true })
+	sys.EnumerateInputs(func(model.Input) bool { f.part.Inputs++; return true })
 
-	f := &fleet{
-		target: *target, shards: *shards, dir: workDir, bin: bin,
-		workers: *workers, ckEvery: *ckEvery,
-		maxViolations: *maxViolations, maxRestarts: *maxRestarts,
-		throttle: *throttle, poll: *poll, stall: *stall,
-		killShard: killShard, killAfter: killAfter,
-		part:      part,
-		reg:       obs.NewRegistry(),
-		frontiers: make([]int, *shards),
-	}
 	start := time.Now()
-	f.lastAdvance = make([]time.Time, *shards)
-	f.frontierG = make([]*obs.Gauge, *shards)
-	f.ageG = make([]*obs.Gauge, *shards)
-	for k := 0; k < *shards; k++ {
-		lo, _ := part.ChunkRange(k)
+	f.frontiers = make([]int, f.shards)
+	f.lastAdvance = make([]time.Time, f.shards)
+	f.frontierG = make([]*obs.Gauge, f.shards)
+	f.ageG = make([]*obs.Gauge, f.shards)
+	for k := 0; k < f.shards; k++ {
+		lo, _ := f.part.ChunkRange(k)
 		f.frontiers[k] = lo
 		f.lastAdvance[k] = start
 		f.frontierG[k] = f.reg.Gauge(fmt.Sprintf("sep_fleet_shard_frontier{shard=%q}", strconv.Itoa(k)))
 		f.frontierG[k].Set(float64(lo))
 		f.ageG[k] = f.reg.Gauge(fmt.Sprintf("sep_fleet_shard_checkpoint_age_seconds{shard=%q}", strconv.Itoa(k)))
 	}
-	f.reg.Counter("sep_fleet_shards_total").Add(uint64(*shards))
+	f.reg.Counter("sep_fleet_shards_total").Add(uint64(f.shards))
 	f.restartsCnt = f.reg.Counter("sep_fleet_restarts_total")
 	f.doneCnt = f.reg.Counter("sep_fleet_done_total")
 	f.unitsCnt = f.reg.Counter("sep_fleet_units_total")
@@ -137,20 +140,20 @@ func realMain() int {
 	if *listen != "" {
 		bound, shutdown, err := obs.ListenMetrics(*listen, f.reg, obs.ListenOptions{})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "sepfleet:", err)
+			fmt.Fprintln(stderr, "sepfleet:", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "sepfleet: serving metrics at http://%s/metrics\n", bound)
+		fmt.Fprintf(stderr, "sepfleet: serving metrics at http://%s/metrics\n", bound)
 		defer shutdown()
 	}
 
-	fmt.Fprintf(os.Stderr, "sepfleet: target %s: %d states x %d inputs, %d chunks across %d shards (dir %s)\n",
-		*target, part.States, part.Inputs, part.NChunks(), *shards, workDir)
+	fmt.Fprintf(stderr, "sepfleet: target %s: %d states x %d inputs, %d chunks across %d shards (dir %s)\n",
+		f.target, f.part.States, f.part.Inputs, f.part.NChunks(), f.shards, f.dir)
 
 	stopProgress := f.startProgress()
 	var wg sync.WaitGroup
-	errs := make([]error, *shards)
-	for k := 0; k < *shards; k++ {
+	errs := make([]error, f.shards)
+	for k := 0; k < f.shards; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
@@ -163,7 +166,7 @@ func realMain() int {
 	bad := false
 	for k, err := range errs {
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sepfleet: shard %d failed: %v\n", k, err)
+			fmt.Fprintf(stderr, "sepfleet: shard %d failed: %v\n", k, err)
 			bad = true
 		}
 	}
@@ -171,13 +174,13 @@ func realMain() int {
 		return 2
 	}
 
-	paths := make([]string, *shards)
+	paths := make([]string, f.shards)
 	for k := range paths {
-		paths[k] = f.shardOutPath(k)
+		paths[k] = f.shardPath(k)
 	}
 	res, err := separability.MergeShardFiles(paths)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "sepfleet: merge:", err)
+		fmt.Fprintln(stderr, "sepfleet: merge:", err)
 		return 2
 	}
 	verdict := "as expected"
@@ -185,9 +188,9 @@ func realMain() int {
 	if !good {
 		verdict = "UNEXPECTED"
 	}
-	fmt.Printf("%-22s %-60s [%s]\n", *target+":", res.Summary(), verdict)
-	fmt.Printf("    fleet: %d shards, %d restarts, artifacts in %s\n",
-		*shards, f.restartsCnt.Value(), workDir)
+	fmt.Fprintf(stdout, "%-22s %-60s [%s]\n", f.target+":", res.Summary(), verdict)
+	fmt.Fprintf(stdout, "    fleet: %d shards, %d restarts, artifacts in %s\n",
+		f.shards, f.restartsCnt.Value(), f.dir)
 	if good {
 		return 0
 	}
@@ -201,6 +204,7 @@ type fleet struct {
 	shards        int
 	dir           string
 	bin           string
+	stderr        io.Writer
 	workers       int
 	ckEvery       int
 	maxViolations int
@@ -231,12 +235,10 @@ type fleet struct {
 	killDone    bool
 }
 
-func (f *fleet) shardOutPath(k int) string {
+// shardPath is shard k's file: the worker's -checkpoint, polled for
+// progress and merged once the shard finishes.
+func (f *fleet) shardPath(k int) string {
 	return filepath.Join(f.dir, fmt.Sprintf("shard-%d.json", k))
-}
-
-func (f *fleet) checkpointPath(k int) string {
-	return filepath.Join(f.dir, fmt.Sprintf("shard-%d.ck.json", k))
 }
 
 func (f *fleet) logPath(k int) string {
@@ -244,9 +246,8 @@ func (f *fleet) logPath(k int) string {
 }
 
 // runShard supervises shard k to completion: spawn a worker, watch its
-// checkpoint, and on any death restart it (the resume comes from the
-// checkpoint file) until the shard-result artifact exists and validates or
-// the restart budget is spent.
+// shard file, and on any death restart it (the resume comes from the same
+// file) until a worker exits 0 or the restart budget is spent.
 func (f *fleet) runShard(k int) error {
 	for attempt := 0; ; attempt++ {
 		logF, err := os.OpenFile(f.logPath(k), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -255,7 +256,7 @@ func (f *fleet) runShard(k int) error {
 		}
 		args := []string{"-target", f.target,
 			"-shard", fmt.Sprintf("%d/%d", k, f.shards),
-			"-shard-out", f.shardOutPath(k), "-checkpoint", f.checkpointPath(k),
+			"-checkpoint", f.shardPath(k),
 			"-max-violations", strconv.Itoa(f.maxViolations)}
 		if f.workers != 0 {
 			args = append(args, "-workers", strconv.Itoa(f.workers))
@@ -276,24 +277,20 @@ func (f *fleet) runShard(k int) error {
 		go func() { exited <- cmd.Wait() }()
 		err = f.watch(k, cmd, exited)
 		logF.Close()
-		if err == nil {
-			if _, rerr := separability.ReadShardResult(f.shardOutPath(k)); rerr == nil {
-				f.doneCnt.Add(1)
-				return nil
-			} else {
-				err = fmt.Errorf("worker exited 0 but shard result is unusable: %w", rerr)
-			}
+		if err == nil { // the worker wrote the complete shard file; merge checks it
+			f.doneCnt.Add(1)
+			return nil
 		}
 		if attempt >= f.maxRestarts {
 			return fmt.Errorf("%w (restart budget %d spent)", err, f.maxRestarts)
 		}
 		f.restartsCnt.Add(1)
-		fmt.Fprintf(os.Stderr, "sepfleet: shard %d worker died (%v); restarting from checkpoint (attempt %d/%d)\n",
+		fmt.Fprintf(f.stderr, "sepfleet: shard %d worker died (%v); restarting from checkpoint (attempt %d/%d)\n",
 			k, err, attempt+1, f.maxRestarts)
 	}
 }
 
-// watch polls shard k's checkpoint until the worker exits, firing the
+// watch polls shard k's file until the worker exits, firing the
 // kill-once fault injection and the stall detector along the way.
 func (f *fleet) watch(k int, cmd *exec.Cmd, exited <-chan error) error {
 	t := time.NewTicker(f.poll)
@@ -308,7 +305,7 @@ func (f *fleet) watch(k int, cmd *exec.Cmd, exited <-chan error) error {
 			if f.pollCheckpoint(k, cmd) {
 				lastAdvance = time.Now()
 			} else if f.stall > 0 && time.Since(lastAdvance) > f.stall {
-				fmt.Fprintf(os.Stderr, "sepfleet: shard %d stalled >%s; killing worker\n", k, f.stall)
+				fmt.Fprintf(f.stderr, "sepfleet: shard %d stalled >%s; killing worker\n", k, f.stall)
 				cmd.Process.Kill()
 				lastAdvance = time.Now() // one kill per stall window
 			}
@@ -316,30 +313,31 @@ func (f *fleet) watch(k int, cmd *exec.Cmd, exited <-chan error) error {
 	}
 }
 
-// pollCheckpoint reads shard k's checkpoint file (atomic writes mean a read
-// never observes a torn artifact), advances the shared frontier, and fires
-// the one-shot kill when the fault-injection threshold is crossed.
+// pollCheckpoint reads shard k's file (atomic writes mean a read never
+// observes a torn artifact), advances the shared frontier, and fires the
+// one-shot kill when the fault-injection threshold is crossed.
 func (f *fleet) pollCheckpoint(k int, cmd *exec.Cmd) (advanced bool) {
-	ck, err := separability.ReadShardCheckpoint(f.checkpointPath(k))
-	if err != nil || ck == nil {
+	ck, err := separability.ReadShardResult(f.shardPath(k))
+	if err != nil {
 		return false
 	}
+	frontier := cmp.Or(ck.Frontier, ck.EndChunk) // no frontier: complete
 	f.mu.Lock()
-	if ck.Frontier > f.frontiers[k] {
-		f.frontiers[k] = ck.Frontier
+	if frontier > f.frontiers[k] {
+		f.frontiers[k] = frontier
 		f.lastAdvance[k] = time.Now()
 		advanced = true
 	}
 	f.frontierG[k].Set(float64(f.frontiers[k]))
 	f.ageG[k].Set(time.Since(f.lastAdvance[k]).Seconds())
 	doKill := cmd != nil && k == f.killShard && !f.killDone &&
-		ck.Frontier-ck.StartChunk >= f.killAfter
+		frontier-ck.StartChunk >= f.killAfter
 	if doKill {
 		f.killDone = true
 	}
 	f.mu.Unlock()
 	if doKill {
-		fmt.Fprintf(os.Stderr, "sepfleet: kill-once firing: SIGKILL shard %d at frontier %d\n", k, ck.Frontier)
+		fmt.Fprintf(f.stderr, "sepfleet: kill-once firing: SIGKILL shard %d at frontier %d\n", k, frontier)
 		cmd.Process.Kill()
 	}
 	return advanced
@@ -381,7 +379,7 @@ func (f *fleet) startProgress() (stop func()) {
 		if totalUnits > 0 {
 			pct = 100 * float64(units) / float64(totalUnits)
 		}
-		fmt.Fprintf(os.Stderr, "sepfleet: %d/%d shards done, %d/%d units (%.1f%%), %.0f units/s%s, restarts=%d\n",
+		fmt.Fprintf(f.stderr, "sepfleet: %d/%d shards done, %d/%d units (%.1f%%), %.0f units/s%s, restarts=%d\n",
 			f.doneCnt.Value(), f.shards, units, totalUnits, pct, rate, extra, f.restartsCnt.Value())
 	}
 	go func() {

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +42,37 @@ func TestParseKillOnce(t *testing.T) {
 	}
 }
 
+// A bad flag is a usage error (exit 2) reported before any worker starts:
+// the fleet directory stays empty. A non-positive -poll used to start the
+// workers and then panic in the poll ticker.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-poll", "0"}, "-poll must be positive"},
+		{[]string{"-poll", "-1s"}, "-poll must be positive"},
+		{[]string{"-shards", "0"}, "-shards must be >= 1"},
+		{[]string{"-kill-once", "x"}, "bad -kill-once"},
+		{[]string{"-target", ""}, "-target is required"},
+		{[]string{"-target", "nosuch:target"}, "nosuch:target"},
+	} {
+		dir := filepath.Join(t.TempDir(), "fleet")
+		args := append([]string{"-target", "toy:direct-write", "-shards", "1",
+			"-sepverify", filepath.Join(dir, "sepverify"), "-dir", dir}, tc.args...)
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit %d, want 2 (stderr %q)", tc.args, code, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: stderr %q, want it to mention %q", tc.args, stderr.String(), tc.want)
+		}
+		if entries, err := os.ReadDir(dir); err == nil && len(entries) > 0 {
+			t.Errorf("%v: fleet dir holds %d entries, want none before a worker starts", tc.args, len(entries))
+		}
+	}
+}
+
 // The per-shard gauges must follow a real checkpoint artifact: frontier
 // tracks the folded-chunk position, and the age gauge resets on advance so
 // a stalled shard shows up as a growing age before the stall detector
@@ -63,7 +98,7 @@ func TestPollCheckpointShardGauges(t *testing.T) {
 	sys := separability.NewToySystem(separability.ToySecure)
 	_, err := separability.CheckExhaustiveShard(sys, separability.ExhaustiveOptions{
 		Workers: 1, ChunkSize: 1, CheckpointEvery: 1, AbortAfterChunks: 2,
-		Checkpoint: f.checkpointPath(0), Target: "toy:secure",
+		Checkpoint: f.shardPath(0), Target: "toy:secure",
 	})
 	if err == nil {
 		t.Fatal("want ErrAborted from the chunk budget")

@@ -13,14 +13,15 @@
 // names with a ':') gets the exhaustive sweep, which is shardable across
 // processes:
 //
-//	sepverify -target T -shard 1/4 -shard-out s1.json -checkpoint s1.ck   # one resumable shard
-//	sepverify -merge s0.json s1.json s2.json s3.json                      # fold shard artifacts
+//	sepverify -target T -shard 1/4 -checkpoint s1.json    # one resumable shard
+//	sepverify -merge s0.json s1.json s2.json s3.json      # fold shard files
 //
-// A sharded sweep writes a versioned, content-addressed shard-result file;
-// -merge folds a complete shard set into the combined verdict, which is
-// byte-identical to the unsharded run. -checkpoint persists resumable
-// progress at a bounded cadence, so a killed shard rerun skips finished
-// work (see cmd/sepfleet for the multi-process coordinator).
+// A shard keeps one versioned, content-addressed file: -checkpoint holds
+// its resumable progress, rewritten at a bounded cadence so a killed shard
+// rerun skips finished work, and holds the complete shard result once the
+// sweep ends. -merge folds a complete shard set into the combined verdict,
+// which is byte-identical to the unsharded run (see cmd/sepfleet for the
+// multi-process coordinator).
 //
 // Observability (see internal/obs):
 //
@@ -37,6 +38,7 @@
 package main
 
 import (
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -75,10 +77,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"checker goroutines to shard work across; 0 = one per CPU core (results are identical for any value)")
 	shardSpec := fs.String("shard", "",
 		"with an exhaustive -target: run only shard k/n of the chunked state space (0-based), e.g. 1/4")
-	shardOut := fs.String("shard-out", "",
-		"with an exhaustive -target: write the sealed shard-result artifact to this file")
 	checkpoint := fs.String("checkpoint", "",
-		"with an exhaustive -target: persist resumable progress to this file and resume from it when present")
+		"with an exhaustive -target: the shard's file: resumable progress while the sweep runs, the sealed shard result when it ends; resumed from when present")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in folded chunks (0 = 8)")
 	maxViolations := fs.Int("max-violations", 8,
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	throttle := fs.Duration("throttle", 0,
 		"sleep this long before each chunk (testing lever for kill/resume demos)")
 	merge := fs.Bool("merge", false,
-		"merge the shard-result files given as arguments into the combined verdict")
+		"merge the shard files given as arguments into the combined verdict")
 	metrics := fs.Bool("metrics", false,
 		"collect verifier metrics and dump a throughput report after the run")
 	metricsFormat := fs.String("metrics-format", "prom",
@@ -138,8 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		systems = systems[i : i+1]
 	}
 	exhaustiveOne := *target != "" && systems[0].enum != nil
-	if !exhaustiveOne && (*shardSpec != "" || *shardOut != "" || *checkpoint != "") {
-		fmt.Fprintln(stderr, "sepverify: -shard, -shard-out and -checkpoint require an exhaustive -target")
+	if !exhaustiveOne && (*shardSpec != "" || *checkpoint != "") {
+		fmt.Fprintln(stderr, "sepverify: -shard and -checkpoint require an exhaustive -target")
 		return 2
 	}
 	if exhaustiveOne && *witnessDir != "" {
@@ -228,7 +228,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var good bool
 		var err error
 		if s.enum != nil {
-			good, err = proveTarget(stdout, stderr, *s.enum, xopt, *shardOut)
+			good, err = proveTarget(stdout, stderr, *s.enum, xopt)
 		} else {
 			good, err = checkDeployment(stdout, s.deploy, ropt, *witnessDir)
 		}
@@ -311,33 +311,29 @@ func checkDeployment(stdout io.Writer, d verifysys.NamedSpec, opt separability.O
 }
 
 // proveTarget sweeps one registered enumerable target — or one shard of it
-// — optionally persisting the sealed shard artifact and a resumable
-// checkpoint. A single-shard run is judged against the target's registered
-// verdict; a k/n shard carries no verdict of its own (the leak may live in
-// another shard) and counts as good unless the sweep itself failed.
-func proveTarget(stdout, stderr io.Writer, t verifysys.ExhaustiveTarget, opt separability.ExhaustiveOptions, shardOut string) (bool, error) {
+// — optionally resuming from and persisting the shard's file
+// (opt.Checkpoint). A single-shard run is judged against the target's
+// registered verdict; a k/n shard carries no verdict of its own (the leak
+// may live in another shard) and counts as good unless the sweep itself
+// failed.
+func proveTarget(stdout, stderr io.Writer, t verifysys.ExhaustiveTarget, opt separability.ExhaustiveOptions) (bool, error) {
 	opt.Target = t.Name
-	// Announce an adopted checkpoint before the sweep so supervisors (and
+	// Announce an adopted shard file before the sweep so supervisors (and
 	// the fleet-smoke test) can observe that a restarted worker actually
 	// resumed instead of starting over.
 	if opt.Checkpoint != "" {
-		ck, err := separability.ReadShardCheckpoint(opt.Checkpoint)
-		if err != nil {
+		ck, err := separability.ReadShardResult(opt.Checkpoint)
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return false, err
 		}
 		if ck != nil {
 			fmt.Fprintf(stderr, "sepverify: resumed shard %d/%d of %s from %s (frontier %d of chunks [%d,%d))\n",
-				ck.Shard, ck.Shards, t.Name, opt.Checkpoint, ck.Frontier, ck.StartChunk, ck.EndChunk)
+				ck.Shard, ck.Shards, t.Name, opt.Checkpoint, cmp.Or(ck.Frontier, ck.EndChunk), ck.StartChunk, ck.EndChunk)
 		}
 	}
 	sr, err := separability.CheckExhaustiveShard(t.Build(), opt)
 	if err != nil {
 		return false, err
-	}
-	if shardOut != "" {
-		if err := sr.WriteFile(shardOut); err != nil {
-			return false, err
-		}
 	}
 	res, err := sr.Result()
 	if err != nil {
@@ -533,13 +529,13 @@ func parseShard(s string) (shard, shards int, err error) {
 	return k, n, nil
 }
 
-// runMerge folds a complete set of shard-result files into the combined
+// runMerge folds a complete set of shard files into the combined
 // verdict, which is identical to an unsharded run of the same target. The
 // exit status follows the target's expected verdict when the stamped target
 // name is registered here.
 func runMerge(stdout, stderr io.Writer, paths []string) int {
 	if len(paths) == 0 {
-		fmt.Fprintln(stderr, "sepverify: -merge needs shard-result files as arguments")
+		fmt.Fprintln(stderr, "sepverify: -merge needs shard files as arguments")
 		return 2
 	}
 	srs := make([]*separability.ShardResult, 0, len(paths))

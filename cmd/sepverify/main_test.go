@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/separability"
 	"repro/internal/verifysys"
 )
 
@@ -179,17 +181,50 @@ func TestWitnessDirPerDeployment(t *testing.T) {
 	}
 }
 
+// Each shard's -checkpoint file is its result: -merge over the files of a
+// 2-way cut prints the direct run's verdict, and a partial file (a shard
+// stopped mid-sweep) is refused with exit 2, naming its frontier.
+func TestMergeShardFiles(t *testing.T) {
+	const target = "toy:direct-write"
+	dir := t.TempDir()
+	direct, _ := runCLI(t, 0, "-target", target)
+	paths := []string{filepath.Join(dir, "s0.json"), filepath.Join(dir, "s1.json")}
+	for k, p := range paths {
+		runCLI(t, 0, "-target", target, "-shard", strconv.Itoa(k)+"/2", "-checkpoint", p)
+	}
+	merged, _ := runCLI(t, 0, append([]string{"-merge"}, paths...)...)
+	if merged != direct {
+		t.Errorf("merged shard files print\n%s\nthe direct run\n%s", merged, direct)
+	}
+
+	tg, err := verifysys.FindExhaustiveTarget(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := separability.CheckExhaustiveShard(tg.Build(), separability.ExhaustiveOptions{
+		Target: target, MaxViolations: 8, Shard: 0, Shards: 2, Workers: 1,
+		Checkpoint: paths[0] + ".partial", AbortAfterChunks: 2,
+	}); !errors.Is(err, separability.ErrAborted) {
+		t.Fatalf("abort: got %v, want ErrAborted", err)
+	}
+	_, stderr := runCLI(t, 2, "-merge", paths[0]+".partial", paths[1])
+	if !strings.Contains(stderr, "incomplete: frontier 2 ") {
+		t.Errorf("merge of a partial shard: stderr %q does not name its frontier", stderr)
+	}
+}
+
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want []string
 	}{
 		{[]string{"-target", "nope"}, []string{`unknown -target "nope"`, "honest-uncut", "leak-RegisterLeak", "minisue:secure", "toy:secure"}},
-		{[]string{"-shard", "0/2"}, []string{"sepverify: -shard, -shard-out and -checkpoint require an exhaustive -target"}},
+		{[]string{"-shard", "0/2"}, []string{"sepverify: -shard and -checkpoint require an exhaustive -target"}},
 		{[]string{"-target", "honest", "-shard", "0/2"}, []string{"require an exhaustive -target"}},
 		{[]string{"-target", "minisue:secure", "-witness-dir", "w"}, []string{"-witness-dir requires a kernel deployment"}},
 		{[]string{"-target", "toy:secure", "-shard", "2/2"}, []string{`bad -shard "2/2" (want 0 <= k < n)`}},
-		{[]string{"-merge"}, []string{"sepverify: -merge needs shard-result files as arguments"}},
+		{[]string{"-merge"}, []string{"sepverify: -merge needs shard files as arguments"}},
+		{[]string{"-target", "toy:secure", "-shard-out", "s.json"}, []string{"flag provided but not defined: -shard-out"}},
 		{[]string{"-target", "honest", "-trials", "-1"}, []string{"-trials and -steps must be at least 1"}},
 		{[]string{"-target", "honest", "-trials", "0"}, []string{"-trials and -steps must be at least 1"}},
 		{[]string{"-target", "honest", "-steps", "-5"}, []string{"-trials and -steps must be at least 1"}},

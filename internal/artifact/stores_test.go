@@ -95,7 +95,7 @@ func TestContentIDsPinned(t *testing.T) {
 		AbortAfterChunks: 5}); !errors.Is(err, separability.ErrAborted) {
 		t.Fatalf("abort: %v", err)
 	}
-	c, err := separability.ReadShardCheckpoint(ck)
+	c, err := separability.ReadShardResult(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,15 +233,15 @@ func stores(t *testing.T) []store {
 			if got.ID != sr.ID {
 				t.Errorf("resumed sweep sealed %s, uninterrupted %s", got.ID, sr.ID)
 			}
-			ck, err := separability.ReadShardCheckpoint(filepath.Join(dir, "ck.json"))
+			ck, err := separability.ReadShardResult(filepath.Join(dir, "ck.json"))
 			if err != nil {
 				t.Fatal(err)
 			}
 			return ck.ID
 		},
 		view: func(dir string) (string, error) {
-			ck, err := separability.ReadShardCheckpoint(filepath.Join(dir, "ck.json"))
-			if err != nil || ck == nil {
+			ck, err := separability.ReadShardResult(filepath.Join(dir, "ck.json"))
+			if err != nil {
 				return "", err
 			}
 			return ck.ID, nil

@@ -170,9 +170,6 @@ func (m *Machine) TrapCode() Word { return m.trapCode }
 // Halted reports whether the CPU has stopped.
 func (m *Machine) Halted() bool { return m.halted }
 
-// Waiting reports whether the CPU is idling for an interrupt.
-func (m *Machine) Waiting() bool { return m.waiting }
-
 // ClearWaiting releases a WAIT state; supervisors use it when they switch
 // contexts by writing machine state directly rather than via an interrupt.
 func (m *Machine) ClearWaiting() { m.waiting = false }
@@ -195,12 +192,6 @@ type TCStats struct {
 func (m *Machine) TranslationStats() TCStats { return TCStats{} }
 
 // MMU register access for supervisors.
-
-// SegBase returns user segment i's physical base register.
-func (m *Machine) SegBase(i int) Word { return m.mmu.Base[i&15] }
-
-// SegCtl returns user segment i's control register.
-func (m *Machine) SegCtl(i int) Word { return m.mmu.Ctl[i&15] }
 
 // SetSeg programs user segment i.
 func (m *Machine) SetSeg(i int, base, ctl Word) {

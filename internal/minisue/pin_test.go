@@ -90,7 +90,7 @@ func TestExhaustiveCheckpointIDPinned(t *testing.T) {
 	if !errors.Is(err, separability.ErrAborted) {
 		t.Fatalf("got %v, want ErrAborted", err)
 	}
-	ck, err := separability.ReadShardCheckpoint(path)
+	ck, err := separability.ReadShardResult(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,15 +1,16 @@
 package separability
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"io/fs"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/artifact"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -112,12 +113,12 @@ type ExhaustiveOptions struct {
 	// (0 = 64). Every shard of one partition must use the same value; it
 	// is recorded in shard artifacts and validated on merge and resume.
 	ChunkSize int
-	// Checkpoint, when non-empty, names a file that persists the
-	// completed-chunk frontier plus partial per-colour results, rewritten
-	// atomically every CheckpointEvery folded chunks. A rerun pointed at
-	// the same file validates it (content-addressed ID plus parameter
-	// match; tampered or mismatched files are rejected with an error) and
-	// resumes after the frontier, producing the identical ShardResult.
+	// Checkpoint, when non-empty, names the shard's file: its ShardResult,
+	// partial and rewritten atomically every CheckpointEvery folded chunks,
+	// then complete. A rerun pointed at the same file validates it
+	// (content-addressed ID plus parameter match; tampered or mismatched
+	// files are rejected with an error) and resumes after the frontier,
+	// producing the identical ShardResult.
 	Checkpoint string
 	// CheckpointEvery is the checkpoint cadence in folded chunks (0 = 8).
 	CheckpointEvery int
@@ -221,8 +222,8 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		acc[ci] = &Result{}
 	}
 	if opt.Checkpoint != "" {
-		ck, err := ReadShardCheckpoint(opt.Checkpoint)
-		if err != nil {
+		ck, err := ReadShardResult(opt.Checkpoint)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, stats, err
 		}
 		if ck != nil {
@@ -233,14 +234,9 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 				return nil, stats, fmt.Errorf("separability: checkpoint %s: shard %d, want %d",
 					opt.Checkpoint, ck.Shard, shard)
 			}
-			frontier = ck.Frontier
+			frontier = cmp.Or(ck.Frontier, endChunk) // complete: nothing to sweep
 			for ci := range acc {
-				r, err := ck.PerColour[ci].result()
-				if err != nil {
-					return nil, stats, fmt.Errorf("separability: checkpoint %s: colour %d: %w",
-						opt.Checkpoint, ci, err)
-				}
-				acc[ci] = r
+				acc[ci], _ = ck.PerColour[ci].result() // DecodeShardResult decoded it once
 			}
 		}
 	}
@@ -353,8 +349,8 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		pending: map[int][]*Result{}, frontier: frontier, endChunk: endChunk,
 		acc: acc, max: maxViolations, abortAfter: opt.AbortAfterChunks,
 		ckPath: opt.Checkpoint, ckEvery: ckEvery,
-		mkCk: func(frontier int, acc []*Result, doneFlag bool) *ShardCheckpoint {
-			return newShardCheckpoint(params, startChunk, endChunk, frontier, doneFlag, acc)
+		record: func(frontier int) *ShardResult {
+			return newShardResult(params, startChunk, endChunk, frontier, acc)
 		},
 		sat: make([]atomic.Uint32, nc),
 	}
@@ -401,20 +397,11 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		return nil, stats, ErrAborted
 	}
 
-	sr := &ShardResult{
-		shardHeader: newShardHeader(KindShardResult, params, startChunk, endChunk),
-		PerColour:   resultRecords(acc),
-	}
-	if err := artifact.Seal(sr, &sr.ID); err != nil {
-		return nil, stats, err
-	}
+	sr := newShardResult(params, startChunk, endChunk, endChunk, acc)
 	if opt.Checkpoint != "" {
-		ck := newShardCheckpoint(params, startChunk, endChunk, endChunk, true, acc)
-		if err := ck.write(opt.Checkpoint, ck); err != nil {
-			return nil, stats, err
-		}
+		return sr, stats, sr.WriteFile(opt.Checkpoint)
 	}
-	return sr, stats, nil
+	return sr, stats, sr.seal()
 }
 
 // leadEnt is one (colour, Φ-digest) bucket of the lead table: its size, its
@@ -618,7 +605,7 @@ type chunkFolder struct {
 	ckPath     string
 	ckEvery    int
 	sinceCk    int
-	mkCk       func(frontier int, acc []*Result, done bool) *ShardCheckpoint
+	record     func(frontier int) *ShardResult
 	err        error
 	sat        []atomic.Uint32
 	truncated  int
@@ -665,10 +652,10 @@ func (f *chunkFolder) deliver(cj int, perColour []*Result) {
 		f.foldedRun++
 		f.sinceCk++
 	}
-	aborting := f.abortAfter > 0 && f.foldedRun >= f.abortAfter && f.frontier < f.endChunk
-	if f.ckPath != "" && f.sinceCk > 0 && (f.sinceCk >= f.ckEvery || aborting) {
-		ck := f.mkCk(f.frontier, f.acc, false)
-		if err := ck.write(f.ckPath, ck); err != nil {
+	partial := f.frontier < f.endChunk // the engine writes the complete record
+	aborting := partial && f.abortAfter > 0 && f.foldedRun >= f.abortAfter
+	if f.ckPath != "" && partial && f.sinceCk > 0 && (f.sinceCk >= f.ckEvery || aborting) {
+		if err := f.record(f.frontier).WriteFile(f.ckPath); err != nil {
 			if f.err == nil {
 				f.err = err
 			}

@@ -3,6 +3,7 @@ package separability_test
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/kernel"
@@ -326,6 +327,37 @@ func TestSchedulerSnoopCaughtAtFormerlyMissedSeeds(t *testing.T) {
 			InputEvery: 8, CheckScheduling: true, Seed: seed, Workers: 1})
 		if res.Passed() {
 			t.Errorf("seed %d: SchedulerSnoop passed: %s", seed, res.Summary())
+		}
+	}
+}
+
+// A negative Trials, StepsPerTrial or MaxViolations is refused with a panic
+// naming the field, at any worker count: the checker used to return a
+// passing report of 0 condition instances on the leaky kernel.
+func TestNegativeOptionsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		opt   separability.Options
+	}{
+		{"Trials", separability.Options{Trials: -1}},
+		{"StepsPerTrial", separability.Options{StepsPerTrial: -1}},
+		{"MaxViolations", separability.Options{MaxViolations: -1}},
+	} {
+		for _, workers := range []int{1, 2} {
+			opt := tc.opt
+			opt.Seed, opt.Workers = 1, workers
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, " "+tc.field+"=-1") {
+						t.Errorf("%s=-1 workers=%d: panic %q, want one naming %s=-1",
+							tc.field, workers, msg, tc.field)
+					}
+				}()
+				res := separability.CheckRandomized(build(t, verifysys.ProbePlain,
+					kernel.Leaks{RegisterLeak: true}, false), opt)
+				t.Errorf("%s=-1 workers=%d: returned %q", tc.field, workers, res.Summary())
+			}()
 		}
 	}
 }

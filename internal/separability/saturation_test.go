@@ -93,7 +93,7 @@ func TestSaturationSeededOnResume(t *testing.T) {
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("%s: abort run: got %v, want ErrAborted", name, err)
 		}
-		ck, err := ReadShardCheckpoint(opt.Checkpoint)
+		ck, err := ReadShardResult(opt.Checkpoint)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -208,11 +208,12 @@ func (r *Result) ViolatedConditions() []Condition {
 	return out
 }
 
-// Options tunes a randomized check.
+// Options tunes a randomized check. A negative Trials, StepsPerTrial or
+// MaxViolations panics rather than pass vacuously.
 type Options struct {
-	// Trials is the number of random reachable traces to explore.
+	// Trials is the number of random reachable traces to explore (0 = 6).
 	Trials int
-	// StepsPerTrial is how many states along each trace are checked.
+	// StepsPerTrial is how many states along each trace are checked (0 = 60).
 	StepsPerTrial int
 	// Seed makes the exploration reproducible.
 	Seed int64
@@ -253,6 +254,10 @@ type Options struct {
 var trialSecondsBounds = []float64{0.0001, 0.001, 0.01, 0.1, 1, 10, 100}
 
 func (o *Options) fill() {
+	if o.Trials < 0 || o.StepsPerTrial < 0 || o.MaxViolations < 0 {
+		panic(fmt.Sprintf("separability: negative Options count: Trials=%d StepsPerTrial=%d MaxViolations=%d",
+			o.Trials, o.StepsPerTrial, o.MaxViolations))
+	}
 	if o.Trials == 0 {
 		o.Trials = 6
 	}

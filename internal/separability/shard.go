@@ -11,19 +11,20 @@ import (
 	"repro/internal/model"
 )
 
-// Shard artifacts are sealed records under the rules of package artifact:
-// canonical JSON carrying a content ID, written through one atomic rename.
-// Readers are total: arbitrary bytes yield an error, never a panic, and any
-// edit to a sealed file (truncation, tampering, a result file passed off as
-// a checkpoint) breaks the ID or the kind and is rejected.
+// A shard's evidence is one sealed record under the rules of package
+// artifact: canonical JSON carrying a content ID, written through one atomic
+// rename. The reader is total: arbitrary bytes yield an error, never a
+// panic, and any edit to a sealed file (truncation, tampering, a relabelled
+// kind) breaks the ID or the kind and is rejected.
 
 const (
-	// ShardSchemaVersion versions the shard-result/checkpoint schema.
+	// ShardSchemaVersion versions the shard record schema.
 	ShardSchemaVersion = 1
-	// KindShardResult and KindShardCheckpoint discriminate the two
-	// artifact flavours; each reader accepts only its own.
-	KindShardResult     = "shard-result"
-	KindShardCheckpoint = "shard-checkpoint"
+	// kindShardResult and kindShardCheckpoint label a shard record that is
+	// complete and one stopped at a frontier. The kind is derived from
+	// the frontier (ShardResult.kind), never set on its own.
+	kindShardResult     = "shard-result"
+	kindShardCheckpoint = "shard-checkpoint"
 )
 
 // ShardParams pins everything a sweep's partition depends on. Two shard
@@ -136,127 +137,62 @@ type ResultRecord struct {
 	States     int               `json:"states,omitempty"`
 }
 
-// shardHeader is the schema prefix shard results and checkpoints share:
-// version, kind and content ID, the sweep parameters, and the shard's chunk
-// range. Embedded, its fields encode first in each artifact, in this order.
-type shardHeader struct {
+// ShardResult is the one sealed artifact of a shard sweep. While the sweep
+// runs it is the checkpoint: chunks [StartChunk, Frontier) are folded into
+// PerColour. A complete record has no Frontier; a partial one lies strictly
+// inside (StartChunk, EndChunk), so a zero Frontier means complete.
+type ShardResult struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
 	ID      string `json:"id"`
 	ShardParams
-	StartChunk int `json:"startChunk"`
-	EndChunk   int `json:"endChunk"`
+	StartChunk int             `json:"startChunk"`
+	EndChunk   int             `json:"endChunk"`
+	Frontier   int             `json:"frontier,omitempty"`
+	PerColour  []*ResultRecord `json:"perColour"`
 }
 
-func newShardHeader(kind string, params ShardParams, startChunk, endChunk int) shardHeader {
-	return shardHeader{Version: ShardSchemaVersion, Kind: kind, ShardParams: params,
-		StartChunk: startChunk, EndChunk: endChunk}
+// newShardResult records the unsealed accumulators of a sweep folded up to
+// frontier; frontier == endChunk makes the record complete.
+func newShardResult(params ShardParams, startChunk, endChunk, frontier int, acc []*Result) *ShardResult {
+	sr := &ShardResult{Version: ShardSchemaVersion, ShardParams: params,
+		StartChunk: startChunk, EndChunk: endChunk, PerColour: resultRecords(acc)}
+	if frontier < endChunk {
+		sr.Frontier = frontier
+	}
+	return sr
 }
 
-// validate checks the header of v, the artifact it heads: schema version
-// and kind, the content ID, parameter sanity, and the chunk range against
-// the partition function.
-func (h *shardHeader) validate(v any, kind string) error {
-	if h.Version != ShardSchemaVersion {
-		return fmt.Errorf("unsupported %s version %d", kind, h.Version)
+// kind is the record's kind as its frontier implies.
+func (sr *ShardResult) kind() string {
+	if sr.Frontier == 0 {
+		return kindShardResult
 	}
-	if h.Kind != kind {
-		return fmt.Errorf("kind %q, want %q", h.Kind, kind)
-	}
-	if err := artifact.Verify(v, &h.ID); err != nil {
-		return err
-	}
-	if err := h.ShardParams.validate(); err != nil {
-		return err
-	}
-	if lo, hi := h.ChunkRange(h.Shard); h.StartChunk != lo || h.EndChunk != hi {
-		return fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
-			h.StartChunk, h.EndChunk, h.Shard, h.Shards, h.NChunks())
+	return kindShardCheckpoint
+}
+
+// complete reports an error unless the record covers its whole chunk range.
+func (sr *ShardResult) complete() error {
+	if sr.Frontier != 0 {
+		return fmt.Errorf("shard %d is incomplete: frontier %d of chunks [%d,%d)",
+			sr.Shard, sr.Frontier, sr.StartChunk, sr.EndChunk)
 	}
 	return nil
 }
 
-// write seals v, the artifact h heads, and writes it to path.
-func (h *shardHeader) write(path string, v any) error {
-	if err := artifact.Seal(v, &h.ID); err != nil {
-		return err
-	}
-	b, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return artifact.WriteFile(path, b, []byte{'\n'})
-}
-
-// ShardResult is the sealed artifact of one completed shard sweep.
-type ShardResult struct {
-	shardHeader
-	PerColour []*ResultRecord `json:"perColour"`
-}
-
-// ShardCheckpoint is the resumable progress artifact of one shard: every
-// chunk in [StartChunk, Frontier) is folded into PerColour; Done marks a
-// finished shard.
-type ShardCheckpoint struct {
-	shardHeader
-	Frontier  int             `json:"frontier"`
-	Done      bool            `json:"done,omitempty"`
-	PerColour []*ResultRecord `json:"perColour"`
-}
-
-func newShardCheckpoint(params ShardParams, startChunk, endChunk, frontier int,
-	done bool, acc []*Result) *ShardCheckpoint {
-	return &ShardCheckpoint{
-		shardHeader: newShardHeader(KindShardCheckpoint, params, startChunk, endChunk),
-		Frontier:    frontier, Done: done, PerColour: resultRecords(acc),
-	}
-}
-
-// Validate checks internal consistency: schema version and kind, the
-// content ID, parameter sanity, the chunk range against the partition
-// function, and that every record decodes.
-func (sr *ShardResult) Validate() error {
-	if err := sr.validate(sr, KindShardResult); err != nil {
-		return err
-	}
-	return validateRecords(sr.PerColour, len(sr.Colours))
-}
-
-// Validate is ShardResult.Validate for checkpoints, additionally pinning
-// the frontier inside the shard's chunk range.
-func (ck *ShardCheckpoint) Validate() error {
-	if err := ck.validate(ck, KindShardCheckpoint); err != nil {
-		return err
-	}
-	if ck.Frontier < ck.StartChunk || ck.Frontier > ck.EndChunk {
-		return fmt.Errorf("frontier %d outside chunk range [%d,%d]",
-			ck.Frontier, ck.StartChunk, ck.EndChunk)
-	}
-	if ck.Done && ck.Frontier != ck.EndChunk {
-		return fmt.Errorf("done checkpoint with frontier %d != end chunk %d",
-			ck.Frontier, ck.EndChunk)
-	}
-	return validateRecords(ck.PerColour, len(ck.Colours))
-}
-
-func validateRecords(rrs []*ResultRecord, colours int) error {
-	if len(rrs) != colours {
-		return fmt.Errorf("%d per-colour records for %d colours", len(rrs), colours)
-	}
-	for ci, rr := range rrs {
-		if rr == nil {
-			return fmt.Errorf("perColour[%d] missing", ci)
-		}
-		if _, err := rr.result(); err != nil {
-			return fmt.Errorf("perColour[%d]: %w", ci, err)
-		}
-	}
-	return nil
+// seal derives the kind from the frontier and seals the record.
+func (sr *ShardResult) seal() error {
+	sr.Kind = sr.kind()
+	return artifact.Seal(sr, &sr.ID)
 }
 
 // Result folds this shard's per-colour records into one Result; for a
-// single-shard run this is the full verdict.
+// single-shard run this is the full verdict. An incomplete record has no
+// verdict and is an error.
 func (sr *ShardResult) Result() (*Result, error) {
+	if err := sr.complete(); err != nil {
+		return nil, fmt.Errorf("separability: %w", err)
+	}
 	perColour := make([]*Result, len(sr.PerColour))
 	for ci, rr := range sr.PerColour {
 		r, err := rr.result()
@@ -268,36 +204,64 @@ func (sr *ShardResult) Result() (*Result, error) {
 	return foldColours(perColour, sr.MaxViolations), nil
 }
 
-// WriteFile seals the result, so edits made after an earlier seal are
+// WriteFile seals the record, so edits made after an earlier seal are
 // covered, and writes it atomically.
-func (sr *ShardResult) WriteFile(path string) error { return sr.write(path, sr) }
+func (sr *ShardResult) WriteFile(path string) error {
+	if err := sr.seal(); err != nil {
+		return err
+	}
+	b, err := json.Marshal(sr)
+	if err != nil {
+		return err
+	}
+	return artifact.WriteFile(path, b, []byte{'\n'})
+}
 
-// DecodeShardResult decodes and validates one shard-result artifact. It is
-// total over arbitrary bytes: errors, never panics.
+// DecodeShardResult decodes one shard record, complete or partial, and
+// checks the schema version, the kind against the frontier, the content
+// ID, parameter sanity, the chunk range against the partition function,
+// the frontier inside it, and that every record decodes. It is total over
+// arbitrary bytes: errors, never panics.
 func DecodeShardResult(b []byte) (*ShardResult, error) {
 	sr := &ShardResult{}
 	if err := json.Unmarshal(b, sr); err != nil {
 		return nil, err
 	}
-	if err := sr.Validate(); err != nil {
+	if sr.Version != ShardSchemaVersion {
+		return nil, fmt.Errorf("unsupported shard record version %d", sr.Version)
+	}
+	if sr.Kind != sr.kind() {
+		return nil, fmt.Errorf("kind %q, want %q", sr.Kind, sr.kind())
+	}
+	if err := artifact.Verify(sr, &sr.ID); err != nil {
 		return nil, err
+	}
+	if err := sr.ShardParams.validate(); err != nil {
+		return nil, err
+	}
+	if lo, hi := sr.ChunkRange(sr.Shard); sr.StartChunk != lo || sr.EndChunk != hi {
+		return nil, fmt.Errorf("chunk range [%d,%d) inconsistent with shard %d/%d over %d chunks",
+			sr.StartChunk, sr.EndChunk, sr.Shard, sr.Shards, sr.NChunks())
+	}
+	if sr.Frontier != 0 && (sr.Frontier <= sr.StartChunk || sr.Frontier >= sr.EndChunk) {
+		return nil, fmt.Errorf("partial frontier %d outside chunk range (%d,%d)", sr.Frontier, sr.StartChunk, sr.EndChunk)
+	}
+	if len(sr.PerColour) != len(sr.Colours) {
+		return nil, fmt.Errorf("%d per-colour records for %d colours", len(sr.PerColour), len(sr.Colours))
+	}
+	for ci, rr := range sr.PerColour {
+		if rr == nil {
+			return nil, fmt.Errorf("perColour[%d] missing", ci)
+		}
+		if _, err := rr.result(); err != nil {
+			return nil, fmt.Errorf("perColour[%d]: %w", ci, err)
+		}
 	}
 	return sr, nil
 }
 
-// DecodeShardCheckpoint is DecodeShardResult for checkpoint artifacts.
-func DecodeShardCheckpoint(b []byte) (*ShardCheckpoint, error) {
-	ck := &ShardCheckpoint{}
-	if err := json.Unmarshal(b, ck); err != nil {
-		return nil, err
-	}
-	if err := ck.Validate(); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// ReadShardResult reads and validates a shard-result file.
+// ReadShardResult reads and validates a shard file, complete or partial. A
+// missing file's os error comes back unwrapped: resume's cold start.
 func ReadShardResult(path string) (*ShardResult, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -310,28 +274,11 @@ func ReadShardResult(path string) (*ShardResult, error) {
 	return sr, nil
 }
 
-// ReadShardCheckpoint reads and validates a checkpoint file. A missing
-// file is a cold start, reported as (nil, nil); an unreadable or invalid
-// one is an error.
-func ReadShardCheckpoint(path string) (*ShardCheckpoint, error) {
-	b, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	ck, err := DecodeShardCheckpoint(b)
-	if err != nil {
-		return nil, fmt.Errorf("separability: %s: %w", path, err)
-	}
-	return ck, nil
-}
-
 // MergeShards folds a complete shard set (given in any order) into the
-// combined Result, byte-identical to the unsharded run: per-colour records
-// concatenate in shard order under the violation cap, then colours fold in
-// colour order exactly as the in-process engine does.
+// combined Result, byte-identical to the unsharded run; every record must
+// be complete. Per-colour records concatenate in shard order under the
+// violation cap, then colours fold in colour order exactly as the
+// in-process engine does.
 func MergeShards(srs []*ShardResult) (*Result, error) {
 	if len(srs) == 0 {
 		return nil, fmt.Errorf("separability: no shard results to merge")
@@ -350,6 +297,9 @@ func MergeShards(srs []*ShardResult) (*Result, error) {
 	for i, sr := range sorted {
 		if sr.Shard != i {
 			return nil, fmt.Errorf("separability: shard set has a duplicate or gap at shard %d", i)
+		}
+		if err := sr.complete(); err != nil {
+			return nil, fmt.Errorf("separability: %w", err)
 		}
 		if err := sr.ShardParams.sameSweep(want); err != nil {
 			return nil, fmt.Errorf("separability: shard %d: %w", sr.Shard, err)
@@ -370,7 +320,7 @@ func MergeShards(srs []*ShardResult) (*Result, error) {
 	return foldColours(perColour, want.MaxViolations), nil
 }
 
-// MergeShardFiles reads and merges shard-result files.
+// MergeShardFiles reads and merges shard files.
 func MergeShardFiles(paths []string) (*Result, error) {
 	srs := make([]*ShardResult, 0, len(paths))
 	for _, p := range paths {

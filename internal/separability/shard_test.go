@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -168,9 +169,9 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 			if _, err := separability.CheckExhaustiveShard(build(), opt); !errors.Is(err, separability.ErrAborted) {
 				t.Fatalf("cadence %d abort %d: got %v, want ErrAborted", cadence, abortAt, err)
 			}
-			resumed, err := separability.ReadShardCheckpoint(ck)
-			if err != nil || resumed == nil {
-				t.Fatalf("cadence %d abort %d: no checkpoint after abort: %v", cadence, abortAt, err)
+			resumed, err := separability.ReadShardResult(ck)
+			if err != nil || resumed.Frontier == 0 {
+				t.Fatalf("cadence %d abort %d: no partial record after abort: %v", cadence, abortAt, err)
 			}
 			opt.AbortAfterChunks = 0
 			opt.Workers = 2 // the replacement worker pool need not match
@@ -220,8 +221,10 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 }
 
 // A checkpoint from a different sweep — other parameters, another shard,
-// tampered or truncated bytes, or a shard-result file passed off as a
-// checkpoint — must be rejected, never silently restarted from.
+// tampered or truncated bytes, or the done form of the earlier
+// separate-checkpoint format — must be rejected, never silently restarted
+// from. A complete shard file is the shard's result, and resuming from it
+// sweeps nothing.
 func TestCheckpointRejectsForeignOrDamaged(t *testing.T) {
 	build := func() model.Enumerable { return separability.NewToySystem(separability.ToyDirectWrite) }
 	base := separability.ExhaustiveOptions{
@@ -278,19 +281,111 @@ func TestCheckpointRejectsForeignOrDamaged(t *testing.T) {
 		t.Error("tampered checkpoint adopted")
 	}
 
-	// A shard result is not a checkpoint, even though both are sealed JSON.
+	// The earlier format closed a finished checkpoint with "done": true
+	// beside a separate result file; such a file is neither a partial nor a
+	// complete record.
+	if err := run(func(o *separability.ExhaustiveOptions, _ string) string {
+		return filepath.Join("testdata", "done-checkpoint.json")
+	}); err == nil {
+		t.Error("done checkpoint of the earlier format adopted")
+	}
+
+	// A complete shard file resumes to the identical result and folds no
+	// chunk: the resumed run restores fewer states than a cold run by at
+	// least the shard's state count, which the sweep would restore again.
 	srOpt := base
 	srOpt.AbortAfterChunks = 0
-	sr, err := separability.CheckExhaustiveShard(build(), srOpt)
+	cold := &restoreCounter{Enumerable: build()}
+	sr, err := separability.CheckExhaustiveShard(cold, srOpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	asCk := filepath.Join(dir, "result-as-ck.json")
-	if err := sr.WriteFile(asCk); err != nil {
+	complete := filepath.Join(dir, "complete.json")
+	if err := sr.WriteFile(complete); err != nil {
 		t.Fatal(err)
 	}
-	if err := run(func(o *separability.ExhaustiveOptions, _ string) string { return asCk }); err == nil {
-		t.Error("shard-result file adopted as a checkpoint")
+	srOpt.Checkpoint = complete
+	warm := &restoreCounter{Enumerable: build()}
+	again, err := separability.CheckExhaustiveShard(warm, srOpt)
+	if err != nil {
+		t.Fatalf("complete shard file rejected on resume: %v", err)
+	}
+	if again.ID != sr.ID {
+		t.Errorf("resumed from a complete file: ID %s, want %s", again.ID, sr.ID)
+	}
+	if warm.n > cold.n-sr.States {
+		t.Errorf("resumed from a complete file: %d restores, cold run %d over %d states: chunks were swept again",
+			warm.n, cold.n, sr.States)
+	}
+}
+
+// restoreCounter wraps an Enumerable, counting Restore calls.
+type restoreCounter struct {
+	model.Enumerable
+	n int
+}
+
+func (c *restoreCounter) Restore(s model.StateRef) {
+	c.n++
+	c.Enumerable.Restore(s)
+}
+
+// A partial shard file carries no verdict: the merge, the one-shard
+// verdict and the file merge all reject it and name its frontier, and the
+// earlier format's done checkpoint does not read as a shard file at all.
+func TestPartialShardNotMerged(t *testing.T) {
+	build := func() model.Enumerable { return separability.NewToySystem(separability.ToyDirectWrite) }
+	opt := separability.ExhaustiveOptions{
+		MaxViolations: 4, Workers: 1, ChunkSize: 16, Target: "toy:direct-write", Shards: 2,
+		Checkpoint: filepath.Join(t.TempDir(), "shard-0.json"), AbortAfterChunks: 3,
+	}
+	if _, err := separability.CheckExhaustiveShard(build(), opt); !errors.Is(err, separability.ErrAborted) {
+		t.Fatalf("abort: got %v, want ErrAborted", err)
+	}
+	partial, err := separability.ReadShardResult(opt.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Frontier != 3 || partial.Kind != "shard-checkpoint" {
+		t.Fatalf("aborted shard file: frontier %d kind %q, want 3 shard-checkpoint", partial.Frontier, partial.Kind)
+	}
+	one := opt
+	one.Shard, one.Checkpoint, one.AbortAfterChunks = 1, "", 0
+	s1, err := separability.CheckExhaustiveShard(build(), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s1Path := filepath.Join(t.TempDir(), "shard-1.json")
+	if err := s1.WriteFile(s1Path); err != nil {
+		t.Fatal(err)
+	}
+
+	_, mergeErr := separability.MergeShards([]*separability.ShardResult{partial, s1})
+	_, filesErr := separability.MergeShardFiles([]string{opt.Checkpoint, s1Path})
+	_, resultErr := partial.Result()
+	for name, err := range map[string]error{
+		"MergeShards": mergeErr, "MergeShardFiles": filesErr, "Result": resultErr,
+	} {
+		if err == nil {
+			t.Errorf("%s accepted a partial shard", name)
+		} else if !strings.Contains(err.Error(), "frontier 3") {
+			t.Errorf("%s: error %q does not name the frontier", name, err)
+		}
+	}
+
+	done := filepath.Join("testdata", "done-checkpoint.json")
+	if _, err := separability.ReadShardResult(done); err == nil {
+		t.Error("done checkpoint of the earlier format read as a shard file")
+	}
+
+	// A partial record whose frontier reaches the end chunk would be a
+	// second encoding of the complete one, and is refused.
+	s1.Frontier = s1.EndChunk
+	if err := s1.WriteFile(s1Path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := separability.ReadShardResult(s1Path); err == nil || !strings.Contains(err.Error(), "partial frontier") {
+		t.Errorf("partial record at the end chunk: got %v, want a partial frontier error", err)
 	}
 }
 
@@ -371,11 +466,11 @@ func TestConcurrentShardsMerge(t *testing.T) {
 	requireIdentical(t, base, got, "concurrent shards")
 }
 
-// FuzzCheckpointResume drives arbitrary bytes through the checkpoint
+// FuzzCheckpointResume drives arbitrary bytes through the shard record
 // decoder and, when they validate, through an actual resume. Decoding is
-// total (errors, never panics), valid checkpoints re-encode canonically,
-// and a checkpoint the engine adopts must still produce the artifact of an
-// uninterrupted run.
+// total (errors, never panics), valid records re-encode canonically, and a
+// record the engine adopts, partial or complete, must still produce the
+// artifact of an uninterrupted run.
 func FuzzCheckpointResume(f *testing.F) {
 	build := func() model.Enumerable { return separability.NewToySystem(separability.ToyDirectWrite) }
 	opt := separability.ExhaustiveOptions{
@@ -406,7 +501,7 @@ func FuzzCheckpointResume(f *testing.F) {
 	f.Add([]byte(`not json at all`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := separability.DecodeShardCheckpoint(data)
+		ck, err := separability.DecodeShardResult(data)
 		if err != nil {
 			return // invalid bytes are rejected, which is the contract
 		}
@@ -415,7 +510,7 @@ func FuzzCheckpointResume(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid checkpoint failed to re-encode: %v", err)
 		}
-		again, err := separability.DecodeShardCheckpoint(b)
+		again, err := separability.DecodeShardResult(b)
 		if err != nil {
 			t.Fatalf("canonical re-encode no longer decodes: %v", err)
 		}

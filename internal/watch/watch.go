@@ -112,7 +112,9 @@ func FindDeployment(name string) (Deployment, bool) {
 // Config parameterizes a Watcher. The zero value of every numeric field
 // selects a default tuned so the full spec-based registry verifies in
 // seconds while still catching every planted leak (the same parameters
-// the kernel verification tests use).
+// the kernel verification tests use). A negative Trials, StepsPerTrial,
+// TraceSteps or ExhaustiveShards makes every CheckDeployment fail before
+// it touches the ledger.
 type Config struct {
 	// Dir is the watch directory: one ledger subdirectory per deployment.
 	Dir string
@@ -270,6 +272,10 @@ func (w *Watcher) RunCycle() CycleResult {
 // check -override-leak` passes a registry name with a silently modified
 // spec, which is exactly how a deployment drifts in the wild.
 func (w *Watcher) CheckDeployment(d Deployment) (*Record, error) {
+	if c := w.cfg; c.Trials < 0 || c.StepsPerTrial < 0 || c.TraceSteps < 0 || c.ExhaustiveShards < 0 {
+		return nil, fmt.Errorf("watch: negative Config count: Trials=%d StepsPerTrial=%d TraceSteps=%d ExhaustiveShards=%d",
+			c.Trials, c.StepsPerTrial, c.TraceSteps, c.ExhaustiveShards)
+	}
 	led, err := OpenLedger(w.cfg.Dir, d.Name)
 	if err != nil {
 		return nil, err

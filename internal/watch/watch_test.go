@@ -345,3 +345,32 @@ func TestRegistries(t *testing.T) {
 		t.Error("FindDeployment(nope) found something")
 	}
 }
+
+// A negative count is refused before the ledger is touched. The watcher
+// used to seal a PASS over no work for a negative Trials, StepsPerTrial or
+// TraceSteps, and to panic sizing the shard set for a negative
+// ExhaustiveShards.
+func TestNegativeConfigRejected(t *testing.T) {
+	for _, tc := range []struct {
+		field      string
+		deployment string
+		set        func(c *Config)
+	}{
+		{"Trials", "honest", func(c *Config) { c.Trials = -1 }},
+		{"StepsPerTrial", "honest", func(c *Config) { c.StepsPerTrial = -1 }},
+		{"TraceSteps", "honest", func(c *Config) { c.TraceSteps = -1 }},
+		{"ExhaustiveShards", "toy-secure", func(c *Config) { c.ExhaustiveShards = -1 }},
+	} {
+		dir := t.TempDir()
+		d := mustFind(t, tc.deployment)
+		cfg := testConfig(dir, d)
+		tc.set(&cfg)
+		rec, err := New(cfg).CheckDeployment(d)
+		if err == nil || !strings.Contains(err.Error(), " "+tc.field+"=-1") {
+			t.Errorf("%s=-1: record %v, error %v; want an error naming %s=-1", tc.field, rec, err, tc.field)
+		}
+		if _, err := os.Stat(filepath.Join(dir, d.Name)); !os.IsNotExist(err) {
+			t.Errorf("%s=-1: ledger directory exists (stat: %v)", tc.field, err)
+		}
+	}
+}
