@@ -620,7 +620,9 @@ func mustImage(b *testing.B, src string) *asm.Image {
 // run measured on the same host, so on a single-core CI box it is ~1.0 for
 // every shard count, exactly as E10 found for goroutine workers. B/op per
 // sweep carries the lead-table memory diet: resident precompute is
-// O(Φ-collision buckets), not O(state space).
+// O(Φ-collision buckets), not O(state space). shards=2-checkpoint is the
+// 2-shard cut with each shard keeping its file at the default checkpoint
+// cadence, as `sepverify -shard k/2 -checkpoint F` does.
 func BenchmarkE18ShardedExhaustive(b *testing.B) {
 	build := func() model.Enumerable { return minisue.New(minisue.Secure) }
 	probe := build()
@@ -634,8 +636,17 @@ func BenchmarkE18ShardedExhaustive(b *testing.B) {
 	serialDur := time.Since(start)
 	want := serial.Summary()
 
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+	for _, cut := range []struct {
+		shards     int
+		checkpoint bool
+	}{{1, false}, {2, false}, {4, false}, {2, true}} {
+		shards := cut.shards
+		name := fmt.Sprintf("shards=%d", shards)
+		if cut.checkpoint {
+			name += "-checkpoint"
+		}
+		b.Run(name, func(b *testing.B) {
+			dir := b.TempDir()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -643,13 +654,17 @@ func BenchmarkE18ShardedExhaustive(b *testing.B) {
 				errs := make([]error, shards)
 				var wg sync.WaitGroup
 				for k := 0; k < shards; k++ {
+					opt := separability.ExhaustiveOptions{
+						MaxViolations: 8, Workers: 1, Shard: k, Shards: shards,
+					}
+					if cut.checkpoint {
+						// A fresh file per run, so no run resumes a finished one.
+						opt.Checkpoint = filepath.Join(dir, fmt.Sprintf("run-%d-shard-%d.json", i, k))
+					}
 					wg.Add(1)
 					go func(k int) {
 						defer wg.Done()
-						srs[k], errs[k] = separability.CheckExhaustiveShard(build(),
-							separability.ExhaustiveOptions{
-								MaxViolations: 8, Workers: 1, Shard: k, Shards: shards,
-							})
+						srs[k], errs[k] = separability.CheckExhaustiveShard(build(), opt)
 					}(k)
 				}
 				wg.Wait()

@@ -19,7 +19,8 @@
 //	                              # plus per-shard sep_fleet_shard_frontier{shard="k"} and
 //	                              # sep_fleet_shard_checkpoint_age_seconds{shard="k"} gauges
 //	sepfleet -stall 30s           # SIGKILL+restart a worker whose frontier stalls
-//	sepfleet -kill-once 0@2       # SIGKILL shard 0 once it has folded 2 chunks
+//	sepfleet -kill-once 0@2       # SIGKILL shard 0 at its first partial file showing >= 2
+//	                              # folded chunks (written every -checkpoint-every chunks)
 //	sepfleet -throttle 5ms        # slow workers down (demo/test lever)
 //
 // Exit status is 0 when the merged verdict matches the target registry's
@@ -65,10 +66,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.DurationVar(&f.stall, "stall", 0, "kill and restart a worker whose checkpoint frontier stalls this long (0 = never)")
 	fs.IntVar(&f.maxRestarts, "max-restarts", 3, "restarts allowed per shard before the fleet gives up")
 	fs.IntVar(&f.maxViolations, "max-violations", 8, "counterexamples collected per condition")
-	fs.IntVar(&f.ckEvery, "checkpoint-every", 0, "worker checkpoint cadence in folded chunks (0 = worker default)")
+	fs.IntVar(&f.ckEvery, "checkpoint-every", 0,
+		"worker checkpoint cadence in folded chunks (0 = the worker default, 64); the fleet sees a shard's progress only when its file is rewritten")
 	fs.DurationVar(&f.throttle, "throttle", 0, "per-chunk delay passed to workers (demo/test lever)")
 	killOnce := fs.String("kill-once", "",
-		"K@F: SIGKILL shard K's worker once its checkpoint shows F folded chunks (fault-injection demo)")
+		"K@F: SIGKILL shard K's worker at the first partial file showing F or more folded chunks; partial files come every -checkpoint-every folded chunks, 64 by default (fault-injection demo)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0

@@ -80,7 +80,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	checkpoint := fs.String("checkpoint", "",
 		"with an exhaustive -target: the shard's file: resumable progress while the sweep runs, the sealed shard result when it ends; resumed from when present")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
-		"checkpoint cadence in folded chunks (0 = 8)")
+		"checkpoint cadence in folded chunks (0 = 64, 4096 states at the default chunk size)")
 	maxViolations := fs.Int("max-violations", 8,
 		"counterexamples collected per condition in exhaustive sweeps")
 	throttle := fs.Duration("throttle", 0,

@@ -57,12 +57,17 @@ type Adapter struct {
 	// The hot-path buffers the adapter owns: phiWords is the scratch
 	// vector Φ^c is gathered into (see gatherPhi), out the vector
 	// CurrentOutput refills and outBox the same vector boxed once as a
-	// model.Output, and cp the payload Checkpoint hands out. NewAdapter
-	// leaves them zero, so a clone never shares its original's.
+	// model.Output, and cp the payload Checkpoint hands out. exBuf is the
+	// scratch extract renders into and exLast[kind][regime] the string it
+	// last returned for that regime's input (kind 0) or output (kind 1)
+	// vector. NewAdapter leaves them zero, so a clone never shares its
+	// original's.
 	phiWords []Word
 	out      OutputVec
 	outBox   model.Output
 	cp       adapterCheckpoint
+	exBuf    []byte
+	exLast   [2][]string
 }
 
 // KernelColour is returned by Colour for states where the next operation
@@ -409,12 +414,12 @@ func (a *Adapter) ExtractInput(c model.Colour, i model.Input) string {
 	if i == nil {
 		return ""
 	}
-	return a.extract(c, i.(InputVec))
+	return a.extract(c, i.(InputVec), 0)
 }
 
 // ExtractOutput implements model.SharedSystem.
 func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
-	return a.extract(c, o.(OutputVec))
+	return a.extract(c, o.(OutputVec), 1)
 }
 
 // extract renders the non-nil entries of a device vector whose device the
@@ -422,38 +427,41 @@ func (a *Adapter) ExtractOutput(c model.Colour, o model.Output) string {
 // word as four hex digits. Witnesses, shards and ledgers persist these
 // strings in name order; no configuration gives a regime more than one
 // input sink or more than one output source, so bus order is name order.
-func (a *Adapter) extract(c model.Colour, vec [][]Word) string {
+// The rendering is made in the adapter's buffer; when it equals the string
+// last returned for the same regime and kind (0 input, 1 output), that
+// string is returned again, so an unchanged extract allocates nothing.
+func (a *Adapter) extract(c model.Colour, vec [][]Word, kind int) string {
 	k := a.K
 	ri := k.RegimeIndex(string(c))
 	if ri < 0 {
 		return ""
 	}
 	devs := k.m.Devices()
-	// Size the rendering first, so it is written into one exact buffer.
-	n := 0
-	for j, ws := range vec {
-		if ws != nil && k.devOwner[j] == ri {
-			n += len(devs[j].Name()) + 4*len(ws) + 2
-		}
-	}
-	if n == 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.Grow(n)
-	var hex [4]byte
+	b := a.exBuf[:0]
 	for j, ws := range vec {
 		if ws == nil || k.devOwner[j] != ri {
 			continue
 		}
-		b.WriteString(devs[j].Name())
-		b.WriteByte('=')
+		b = append(b, devs[j].Name()...)
+		b = append(b, '=')
 		for _, w := range ws {
-			b.Write(hexWord(hex[:0], w))
+			b = hexWord(b, w)
 		}
-		b.WriteByte(';')
+		b = append(b, ';')
 	}
-	return b.String()
+	a.exBuf = b
+	if len(b) == 0 {
+		return ""
+	}
+	last := a.exLast[kind]
+	if last == nil {
+		last = make([]string, len(k.cfg.Regimes))
+		a.exLast[kind] = last
+	}
+	if string(b) != last[ri] {
+		last[ri] = string(b)
+	}
+	return last[ri]
 }
 
 // Clone implements model.Replicable: it builds a fresh machine carrying

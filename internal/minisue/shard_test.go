@@ -1,13 +1,16 @@
 package minisue_test
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/minisue"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/separability"
 )
 
@@ -97,5 +100,38 @@ func TestMiniSUECheckpointResume(t *testing.T) {
 	}
 	if sr.ID != clean.ID || !reflect.DeepEqual(sr, clean) {
 		t.Errorf("resumed artifact %s differs from uninterrupted %s", sr.ID, clean.ID)
+	}
+}
+
+// The checkpoint cadence decides how often a shard rewrites its partial
+// file, and nothing else: shard 0 of 2 of the secure sweep (576 chunks)
+// writes it 8 times at the default cadence of 64 folded chunks and 71 times
+// at a cadence of 8, and both runs leave the same complete file.
+func TestCheckpointCadenceWrites(t *testing.T) {
+	var complete []byte
+	for _, tc := range []struct {
+		every int
+		want  uint64
+	}{{0, 8}, {8, 71}} {
+		reg := obs.NewRegistry()
+		ck := filepath.Join(t.TempDir(), "shard-0.json")
+		_, err := separability.CheckExhaustiveShard(minisue.New(minisue.Secure), separability.ExhaustiveOptions{
+			Workers: 1, Shard: 0, Shards: 2, Target: "minisue:secure",
+			Checkpoint: ck, CheckpointEvery: tc.every, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.CounterValue("sep_exh_checkpoints_total"); got != tc.want {
+			t.Errorf("CheckpointEvery %d: %d partial writes, want %d", tc.every, got, tc.want)
+		}
+		b, err := os.ReadFile(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if complete != nil && !bytes.Equal(b, complete) {
+			t.Errorf("CheckpointEvery %d: complete shard file differs from the default cadence's", tc.every)
+		}
+		complete = b
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,6 +81,12 @@ type stateInfo struct {
 // coordinator partitions with it to follow its workers' progress.
 const DefaultChunkSize = 64
 
+// DefaultCheckpointEvery is the checkpoint cadence, in folded chunks, when
+// ExhaustiveOptions leaves CheckpointEvery zero: 4,096 states at the
+// default chunk size, so a crash loses a few milliseconds of a MiniSUE
+// sweep while a shard of it writes its partial file only 8 times.
+const DefaultCheckpointEvery = 64
+
 // ExhaustiveOptions tunes CheckExhaustiveShard.
 type ExhaustiveOptions struct {
 	// MaxViolations caps how many counterexamples are collected PER
@@ -100,6 +108,7 @@ type ExhaustiveOptions struct {
 	//	                        shard states × (1 + inputs), published up
 	//	                        front (resumed work counts as visited)
 	//	sep_exh_states_total  — units completed so far
+	//	sep_exh_checkpoints_total — partial shard files written
 	//
 	// Attaching a registry never changes the Result.
 	Metrics *obs.Registry
@@ -120,7 +129,8 @@ type ExhaustiveOptions struct {
 	// files are rejected with an error) and resumes after the frontier,
 	// producing the identical ShardResult.
 	Checkpoint string
-	// CheckpointEvery is the checkpoint cadence in folded chunks (0 = 8).
+	// CheckpointEvery is the checkpoint cadence in folded chunks
+	// (0 = DefaultCheckpointEvery, 64).
 	CheckpointEvery int
 	// Target names the system being swept; it is stamped into shard
 	// artifacts so results from different targets cannot be merged or
@@ -189,12 +199,12 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	}
 	ckEvery := opt.CheckpointEvery
 	if ckEvery <= 0 {
-		ckEvery = 8
+		ckEvery = DefaultCheckpointEvery
 	}
 
-	var states []model.StateRef
+	var states refBlocks
 	sys.EnumerateStates(func(s model.StateRef) bool {
-		states = append(states, s)
+		states.add(s)
 		return true
 	})
 	var inputs []model.Input
@@ -204,11 +214,14 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	})
 	colours := sys.Colours()
 	nc := len(colours)
+	if nc > math.MaxInt8 {
+		return nil, stats, fmt.Errorf("separability: %d colours, at most %d", nc, math.MaxInt8)
+	}
 
 	params := ShardParams{
 		Target: opt.Target, Shard: shard, Shards: shards,
 		ChunkSize: chunkSize, MaxViolations: maxViolations,
-		States: len(states), Inputs: len(inputs), Colours: colourNames(colours),
+		States: states.len(), Inputs: len(inputs), Colours: colourNames(colours),
 	}
 	nChunks := params.NChunks()
 	startChunk, endChunk := params.ChunkRange(shard)
@@ -245,11 +258,12 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	// sweep starts, and resumed work is credited immediately, so consumers
 	// can compute percent-complete from the first scrape.
 	unitsPerState := uint64(params.UnitsPerState())
-	var done *obs.Counter
+	var done, ckWrites *obs.Counter
 	if opt.Metrics != nil {
 		opt.Metrics.Counter("sep_exh_space_total").
 			Add(uint64(params.StatesIn(startChunk, endChunk)) * unitsPerState)
 		done = opt.Metrics.Counter("sep_exh_states_total")
+		ckWrites = opt.Metrics.Counter("sep_exh_checkpoints_total")
 		if n := params.StatesIn(startChunk, frontier); n > 0 {
 			done.Add(uint64(n) * unitsPerState)
 		}
@@ -268,14 +282,17 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	// Pass 0: anchor Φ digests of EVERY state for every colour, plus the
 	// lead-table election. This pass is shard-independent — every shard
 	// derives the same global pairing structure, which is what makes a
-	// contiguous chunk range an exact slice of the unsharded sweep.
-	phi0 := make([]uint64, len(states)*nc)
-	cols := make([]model.Colour, len(states))
+	// contiguous chunk range an exact slice of the unsharded sweep. A
+	// state's COLOUR is kept as its index into colours, -1 for a colour
+	// outside the list (a kernel pseudo-colour), which leads no bucket.
+	nStates := states.len()
+	phi0 := make([]uint64, nStates*nc)
+	cols := make([]int8, nStates)
 	runChunks(replicas, nChunks, func(_ int, rep model.Enumerable, cj int) {
-		lo, hi := chunkBounds(cj, chunkSize, len(states))
+		lo, hi := chunkBounds(cj, chunkSize, nStates)
 		for si := lo; si < hi; si++ {
-			rep.Restore(states[si])
-			cols[si] = rep.Colour()
+			rep.Restore(states.at(si))
+			cols[si] = int8(slices.Index(colours, rep.Colour()))
 			for ci, c := range colours {
 				phi0[si*nc+ci] = model.AbstractDigest(rep, c)
 			}
@@ -285,7 +302,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	needed := map[int]bool{}
 	for ci := range colours {
 		m := make(map[uint64]*leadEnt)
-		for si := range states {
+		for si := range nStates {
 			d := phi0[si*nc+ci]
 			e := m[d]
 			if e == nil {
@@ -293,7 +310,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 				m[d] = e
 			}
 			e.n++
-			if cols[si] == colours[ci] {
+			if int(cols[si]) == ci {
 				if e.activeSi < 0 {
 					e.activeSi = si
 				}
@@ -327,7 +344,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 		for k := lo; k < hi; k++ {
 			si := neededSis[k]
 			info := &stateInfo{}
-			precomputeInto(rep, states[si], colours, inputs, phi0[si*nc:(si+1)*nc], info)
+			precomputeInto(rep, states.at(si), colours, inputs, phi0[si*nc:(si+1)*nc], info)
 			leadInfos[k] = info
 		}
 	})
@@ -348,7 +365,7 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 	folder := &chunkFolder{
 		pending: map[int][]*Result{}, frontier: frontier, endChunk: endChunk,
 		acc: acc, max: maxViolations, abortAfter: opt.AbortAfterChunks,
-		ckPath: opt.Checkpoint, ckEvery: ckEvery,
+		ckPath: opt.Checkpoint, ckEvery: ckEvery, ckWrites: ckWrites,
 		record: func(frontier int) *ShardResult {
 			return newShardResult(params, startChunk, endChunk, frontier, acc)
 		},
@@ -377,9 +394,9 @@ func checkExhaustiveShard(sys model.Enumerable, opt ExhaustiveOptions) (*ShardRe
 			for ci := range perColour {
 				perColour[ci] = &Result{}
 			}
-			lo, hi := chunkBounds(cj, chunkSize, len(states))
+			lo, hi := chunkBounds(cj, chunkSize, nStates)
 			for si := lo; si < hi; si++ {
-				precomputeInto(rep, states[si], colours, inputs, phi0[si*nc:(si+1)*nc], &w.info)
+				precomputeInto(rep, states.at(si), colours, inputs, phi0[si*nc:(si+1)*nc], &w.info)
 				e.checkState(w, si, perColour)
 				if done != nil {
 					done.Add(unitsPerState)
@@ -604,6 +621,7 @@ type chunkFolder struct {
 	stop       bool
 	ckPath     string
 	ckEvery    int
+	ckWrites   *obs.Counter // nil without ExhaustiveOptions.Metrics
 	sinceCk    int
 	record     func(frontier int) *ShardResult
 	err        error
@@ -663,6 +681,9 @@ func (f *chunkFolder) deliver(cj int, perColour []*Result) {
 			return
 		}
 		f.sinceCk = 0
+		if f.ckWrites != nil {
+			f.ckWrites.Inc()
+		}
 	}
 	if aborting {
 		f.stop = true
@@ -698,6 +719,29 @@ func runChunks[S any](replicas []S, n int, fn func(w int, rep S, i int)) {
 		}
 	})
 }
+
+// refBlockSize is the number of state references per refBlocks block.
+const refBlockSize = 4096
+
+// refBlocks is the list of enumerated states, held in fixed-size blocks so
+// collecting it never copies what it has already collected.
+type refBlocks struct {
+	blocks [][]model.StateRef
+	n      int
+}
+
+func (r *refBlocks) add(s model.StateRef) {
+	if r.n%refBlockSize == 0 {
+		r.blocks = append(r.blocks, make([]model.StateRef, 0, refBlockSize))
+	}
+	last := &r.blocks[len(r.blocks)-1]
+	*last = append(*last, s)
+	r.n++
+}
+
+func (r *refBlocks) len() int { return r.n }
+
+func (r *refBlocks) at(i int) model.StateRef { return r.blocks[i/refBlockSize][i%refBlockSize] }
 
 // chunkBounds returns chunk cj's state range clipped to n states.
 func chunkBounds(cj, chunkSize, n int) (int, int) {

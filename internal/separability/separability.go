@@ -33,6 +33,7 @@ package separability
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"time"
 
@@ -291,13 +292,14 @@ func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 	// One worker, or a system that cannot be replicated: the
 	// single-threaded engine produces the same Result a pool would.
 	res := &Result{}
+	walk := newWalkRand()
 	for trial := 0; trial < opt.Trials; trial++ {
 		// Deterministic stopping rule (shared with the parallel merge):
 		// stop starting trials once the merged prefix hit the cap.
 		if len(res.Violations) >= opt.MaxViolations {
 			break
 		}
-		res.Merge(runTrial(sys, trial, opt, colours))
+		res.Merge(runTrial(sys, walk, trial, opt, colours))
 	}
 	return res
 }
@@ -306,9 +308,13 @@ func CheckRandomized(sys model.Perturbable, opt Options) *Result {
 // then merges the per-trial results in trial order.
 func runTrialsParallel(replicas []model.Perturbable, opt Options, colours []model.Colour) *Result {
 	results := make([]*Result, opt.Trials)
+	walks := make([]*rand.Rand, len(replicas)) // one walk RNG per worker, reseeded per trial
 	runChunks(replicas, opt.Trials, func(w int, sys model.Perturbable, trial int) {
 		start := time.Now()
-		results[trial] = runTrial(sys, trial, opt, colours)
+		if walks[w] == nil {
+			walks[w] = newWalkRand()
+		}
+		results[trial] = runTrial(sys, walks[w], trial, opt, colours)
 		if opt.Metrics != nil {
 			// Per-worker throughput; the label is the pool slot.
 			label := fmt.Sprintf("{worker=%q}", fmt.Sprint(w))
@@ -344,7 +350,8 @@ func trialSeed(seed int64, trial int) int64 {
 // runTrial explores one random reachable trace and checks every applicable
 // condition along it, accumulating into a private Result. It touches only
 // sys and its own RNGs, so distinct trials may run concurrently on
-// distinct replicas.
+// distinct replicas; walk is the calling worker's walk RNG, which the trial
+// reseeds.
 //
 // Two RNG streams are involved. The walk stream (walkTrial's, seeded from
 // the trial seed) drives Randomize, the injected inputs and the per-step
@@ -356,7 +363,7 @@ func trialSeed(seed int64, trial int) int64 {
 // without the intervening sweeps (they leave the state unchanged), and
 // even over a shrunk prefix — see WalkTrial, CheckStateSeeded and package
 // witness.
-func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Colour) *Result {
+func runTrial(sys model.Perturbable, walk *rand.Rand, trial int, opt Options, colours []model.Colour) *Result {
 	res := &Result{}
 	// Live progress counter: one atomic increment per checked state, so a
 	// -progress consumer sees movement inside long trials, not just
@@ -370,7 +377,7 @@ func runTrial(sys model.Perturbable, trial int, opt Options, colours []model.Col
 	tseed := trialSeed(opt.Seed, trial)
 	// One sweep RNG per trial, reseeded at every step.
 	srng := &stepRand{}
-	walkTrial(sys, opt, trial, colours,
+	walkTrial(sys, walk, opt, trial, colours,
 		func(int, model.Input) bool { return len(res.Violations) < opt.MaxViolations },
 		func(step int, c model.Colour) {
 			checkState(sys, c, srng.reseed(stepSeed(tseed, step)), res, trial, step, opt)

@@ -159,7 +159,7 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, cadence := range []int{1, 3} {
+	for _, cadence := range []int{0, 1, 3} { // 0: the default cadence
 		for _, abortAt := range []int{1, 5, 20, 63} {
 			ck := filepath.Join(t.TempDir(), "ck.json")
 			opt := base
@@ -576,5 +576,65 @@ func TestChunkRangeStates(t *testing.T) {
 	// A shard whose range lies entirely past the states (padding chunks).
 	if got := p.StatesIn(5, 7); got != 0 {
 		t.Errorf("out-of-range chunk range counted %d states", got)
+	}
+}
+
+// kernelColourToy is the secure toy whose COLOUR is a pseudo-colour
+// outside Colours() whenever black's register and latch are both 0, the
+// way the kernel adapter reports its idle loop. Those states fall in red's
+// Φ buckets beside states whose COLOUR is red.
+type kernelColourToy struct{ *separability.ToySystem }
+
+func (k kernelColourToy) Colour() model.Colour {
+	if k.Abstract("black") == "reg=0;out=0" {
+		return "_kernel"
+	}
+	return k.ToySystem.Colour()
+}
+
+// A state whose COLOUR is outside Colours() is another colour's operation
+// for every colour: it is checked by condition 2 for each and never leads
+// or joins a bucket for conditions 1 and 6.
+func TestPseudoColourNeverActive(t *testing.T) {
+	sys := kernelColourToy{separability.NewToySystem(separability.ToySecure)}
+	colours := sys.Colours()
+	var want separability.Counts
+	pseudo := 0
+	for _, c := range colours {
+		active := map[string]int{} // Φc rendering -> states with COLOUR = c
+		sys.EnumerateStates(func(s model.StateRef) bool {
+			sys.Restore(s)
+			if col := sys.Colour(); col == c {
+				active[sys.Abstract(c)]++
+			} else {
+				want[separability.Condition2]++
+				if col == "_kernel" && c == colours[0] {
+					pseudo++
+				}
+			}
+			return true
+		})
+		for _, n := range active {
+			want[separability.Condition1] += max(0, n-1)
+			want[separability.Condition6] += max(0, n-1)
+		}
+	}
+	if pseudo == 0 {
+		t.Fatal("no state reports the pseudo-colour")
+	}
+	sr, err := separability.CheckExhaustiveShard(sys, separability.ExhaustiveOptions{Workers: 1, ChunkSize: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sr.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cond := range []separability.Condition{separability.Condition1,
+		separability.Condition2, separability.Condition6} {
+		if res.Checks[cond] != want[cond] {
+			t.Errorf("%v: %d instances checked, want %d (%d pseudo-coloured states)",
+				cond, res.Checks[cond], want[cond], pseudo)
+		}
 	}
 }

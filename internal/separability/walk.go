@@ -55,10 +55,14 @@ func (r *stepRand) next() uint64 {
 // Uint32 implements model.Rand.
 func (r *stepRand) Uint32() uint32 { return uint32(r.next() >> 32) }
 
-// Intn implements model.Rand.
+// Intn implements model.Rand. A power-of-two n takes the low bits by mask,
+// which is the same value as the modulo without a 64-bit divide.
 func (r *stepRand) Intn(n int) int {
 	if n <= 0 {
 		panic("separability: stepRand.Intn called with n <= 0")
+	}
+	if n&(n-1) == 0 {
+		return int(r.next() & uint64(n-1))
 	}
 	return int(r.next() % uint64(n))
 }
@@ -76,20 +80,27 @@ func (r *stepRand) Intn(n int) int {
 // would, so the stream stays aligned even though no colour is checked.
 func WalkTrial(sys model.Perturbable, opt Options, trial int, visit func(step int, in model.Input) bool) {
 	opt.fill()
-	walkTrial(sys, opt, trial, sys.Colours(), visit, nil)
+	walkTrial(sys, newWalkRand(), opt, trial, sys.Colours(), visit, nil)
 }
 
+// newWalkRand returns a walk RNG for walkTrial to reseed. A worker keeps
+// one across its trials: Seed on a source from rand.NewSource runs exactly
+// the code NewSource runs, so a reseeded walk draws the stream a fresh
+// source would, without allocating the source's state again.
+func newWalkRand() *rand.Rand { return rand.New(rand.NewSource(0)) }
+
 // walkTrial is the one state walk of a randomized trial, shared by the
-// checker (runTrial) and replay (WalkTrial). The walk stream, seeded from
-// the trial seed, drives Randomize, the injected inputs (every
-// opt.InputEvery-th step; nil otherwise) and the per-step colour choice.
+// checker (runTrial) and replay (WalkTrial). The walk stream (walk,
+// reseeded here from the trial seed) drives Randomize, the injected
+// inputs (every opt.InputEvery-th step; nil otherwise) and the per-step
+// colour choice.
 // visit runs before each step's input is applied and stops the walk by
 // returning false; at, when non-nil, runs after the colour draw with the
 // state to be checked at that step and the drawn colour.
-func walkTrial(sys model.Perturbable, opt Options, trial int, colours []model.Colour,
+func walkTrial(sys model.Perturbable, walk *rand.Rand, opt Options, trial int, colours []model.Colour,
 	visit func(step int, in model.Input) bool, at func(step int, c model.Colour)) {
 
-	walk := rand.New(rand.NewSource(trialSeed(opt.Seed, trial)))
+	walk.Seed(trialSeed(opt.Seed, trial))
 	sys.Randomize(walk)
 	for step := 0; step < opt.StepsPerTrial; step++ {
 		// Advance the input phase first so that states with freshly
